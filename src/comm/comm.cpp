@@ -106,7 +106,7 @@ struct Mailbox {
       LISI_ACQUIRED_AFTER(check::detail::gCheckerBeforeMailboxAnchor);
   std::condition_variable cv;
   std::deque<Envelope> queue LISI_GUARDED_BY(mutex);
-  /// Bumped on every deliver; lets a nonblocking-collective wait detect
+  /// Bumped on every deliver; lets a collective wait detect
   /// arrivals that raced with its last progress sweep.
   std::uint64_t deliveries LISI_GUARDED_BY(mutex) = 0;
 };
@@ -197,7 +197,7 @@ class WorldContext {
   }
 
   /// Non-blocking matched receive: the message if one is queued, nothing
-  /// otherwise.  Used to drive nonblocking-collective progress.
+  /// otherwise.  Used to drive collective progress.
   std::optional<Envelope> tryReceive(int worldRank, std::uint64_t ctx, int src,
                                      int tag) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(worldRank)];
@@ -238,10 +238,9 @@ class WorldContext {
         return;
       }
       if (box.cv.wait_until(lock.native(), deadline) == std::cv_status::timeout) {
-        abort("nonblocking collective wait timed out (possible deadlock): "
-              "world rank " +
+        abort("collective wait timed out (possible deadlock): world rank " +
               std::to_string(worldRank) +
-              " has outstanding handles with no arriving messages");
+              " has outstanding collectives with no arriving messages");
         checkAborted();
       }
     }
@@ -421,10 +420,11 @@ struct CommState {
   /// rank of the context holds the same value (the setter is collective).
   int collectiveTagWindow = kDefaultCollectiveTagWindow;
 
-  /// This rank's outstanding nonblocking collectives on this communicator.
+  /// This rank's outstanding collectives on this communicator: every live
+  /// handle plus, while it runs, the blocking call in progress.
   /// Rank-thread private (a CommState belongs to exactly one rank thread),
-  /// so no lock is needed.  Ops register at start and deregister when their
-  /// handle is destroyed; completed ops are no-ops in the progress sweep.
+  /// so no lock is needed.  Ops register at start and deregister when they
+  /// are destroyed; completed ops are no-ops in the progress sweep.
   std::vector<CollOp*> pendingColl;
 
   [[nodiscard]] int worldRankOf(int localRank) const {
@@ -432,17 +432,17 @@ struct CommState {
   }
 };
 
-/// One in-flight nonblocking collective: a fixed schedule of send and
-/// receive steps executed in order.  Sends are buffered (they complete
-/// immediately); a receive step that finds no matching message parks the
-/// op until the next progress sweep.  The step program is exactly the
-/// blocking schedule of the same collective, so a completed iallreduce is
-/// bitwise identical to allreduce.
+/// One in-flight collective: a fixed schedule of send and receive steps
+/// executed in order.  Sends are buffered (they complete immediately); a
+/// receive step that finds no matching message parks the op until the next
+/// progress sweep.  Blocking collectives build the same program as their
+/// nonblocking twins and drive it to completion on the stack, so there is
+/// one schedule per collective and one place where progress happens.
 class CollOp {
  public:
   enum class StepKind : std::uint8_t {
     kSend,         ///< send the accumulator to `peer`
-    kRecvCombine,  ///< receive into scratch, fold into the accumulator
+    kRecvCombine,  ///< receive and fold into the accumulator
     kRecvReplace,  ///< receive straight into the accumulator
     kRecvDiscard,  ///< receive and drop (barrier tokens)
   };
@@ -452,35 +452,44 @@ class CollOp {
   };
   using CombineFn = void (*)(void*, const void*, std::size_t, ReduceOp);
 
-  CollOp(std::shared_ptr<CommState> state, int tag, std::vector<Step> steps,
-         void* acc, std::size_t bytes, std::size_t count, std::size_t elemSize,
-         ReduceOp op, CombineFn combine)
+  /// `acc` is the caller's result buffer; `in` (when distinct) is copied
+  /// into it at start.  A null `acc` makes the op fold into its own copy of
+  /// `in` (a non-root reduce contribution).  `kind` is the entry point:
+  /// kIallreduce/kIbarrier ops belong to a CollHandle, every other kind is
+  /// a blocking call that completes before its entry point returns.
+  CollOp(std::shared_ptr<CommState> state, int tag, check::CollKind kind,
+         std::vector<Step> steps, void* acc, const void* in,
+         std::size_t bytes, std::size_t count, ReduceOp op, CombineFn combine)
       : state_(std::move(state)),
         tag_(tag),
+        kind_(kind),
         steps_(std::move(steps)),
         acc_(static_cast<std::byte*>(acc)),
         bytes_(bytes),
         count_(count),
-        elemSize_(elemSize),
         op_(op),
         combine_(combine) {
-    if (acc_ == nullptr) {  // op-owned payload (barrier token)
-      own_.resize(bytes_ == 0 ? 1 : bytes_);
-      acc_ = own_.data();
+    if (bytes_ != 0) {
+      const auto* src = static_cast<const std::byte*>(in);
+      if (acc_ == nullptr) {
+        own_.assign(src, src + bytes_);
+        acc_ = own_.data();
+      } else if (src != nullptr && src != acc_) {
+        std::memcpy(acc_, src, bytes_);
+      }
     }
 #ifdef LISI_COMM_CHECK
     // Before the pendingColl registration: an aliasing diagnosis throws out
     // of this constructor, and a registered-but-unconstructed op would
     // dangle in the list.
-    if (auto* checker = state_->world->checker()) {
+    auto* checker = state_->world->checker();
+    if (checker != nullptr && !blocking()) {
       std::vector<check::BufferRange> outstanding;
       for (const CollOp* op : state_->pendingColl) {
-        if (op->done() || !op->own_.empty()) continue;  // op-owned tokens
-        outstanding.push_back({op->acc_, op->bytes_, op->tag_});
+        if (!op->done()) outstanding.push_back({op->acc_, op->bytes_, op->tag_});
       }
       checker->onNonblockingStart(state_->worldRankOf(state_->myLocalRank),
-                                  tag_, own_.empty() ? acc_ : nullptr,
-                                  own_.empty() ? bytes_ : 0, outstanding);
+                                  tag_, acc_, bytes_, outstanding);
     }
 #endif
     state_->pendingColl.push_back(this);
@@ -495,7 +504,7 @@ class CollOp {
     // flight; recording those as abandoned would only clutter the abort's
     // own diagnostic.
     if (auto* checker = state_->world->checker()) {
-      if (!state_->world->aborted()) {
+      if (!blocking() && !state_->world->aborted()) {
         checker->onNonblockingEnd(state_->worldRankOf(state_->myLocalRank),
                                   tag_, done(), steps_.size() - next_);
       }
@@ -532,7 +541,7 @@ class CollOp {
       obs::count("comm.recv.count");
       obs::count("comm.recv.bytes", static_cast<long long>(env->payload.size()));
       LISI_CHECK(env->payload.size() == bytes_,
-                 "nonblocking collective: payload size mismatch");
+                 "collective: payload size mismatch");
       if (step.kind == StepKind::kRecvCombine) {
         combine_(acc_, env->payload.data(), count_, op_);
       } else if (step.kind == StepKind::kRecvReplace) {
@@ -552,6 +561,7 @@ class CollOp {
 
   /// Block until this op completes, progressing all outstanding ops.
   void waitDone() {
+    if (done()) return;  // one-rank or empty-payload program
     WorldContext& world = *state_->world;
     const int worldRank = state_->worldRankOf(state_->myLocalRank);
     std::uint64_t seen = world.deliveryCount(worldRank);
@@ -570,9 +580,11 @@ class CollOp {
           needs.push_back(
               {state_->ctx, op->steps_[op->next_].peer, op->tag_});
         }
-        CheckedWaitScope waitScope(checker, worldRank,
-                                   "nonblocking collective wait",
-                                   std::move(needs));
+        CheckedWaitScope waitScope(
+            checker, worldRank,
+            blocking() ? check::collKindName(kind_)
+                       : "nonblocking collective wait",
+            std::move(needs));
         world.waitForDelivery(worldRank, seen);
         continue;
       }
@@ -584,19 +596,149 @@ class CollOp {
   [[nodiscard]] CommState& state() { return *state_; }
 
  private:
+  [[nodiscard]] bool blocking() const {
+    return kind_ != check::CollKind::kIallreduce &&
+           kind_ != check::CollKind::kIbarrier;
+  }
+
   std::shared_ptr<CommState> state_;
   int tag_;
+  check::CollKind kind_;
   std::vector<Step> steps_;
   std::size_t next_ = 0;
-  std::byte* acc_;                  ///< caller's out buffer (or the token)
-  std::size_t bytes_;               ///< payload bytes per message
-  std::size_t count_;               ///< element count (for combine)
-  std::size_t elemSize_;
+  std::byte* acc_;              ///< the result buffer (caller's or own_)
+  std::size_t bytes_;           ///< payload bytes per message
+  std::size_t count_;           ///< element count (for combine)
   ReduceOp op_;
   CombineFn combine_;           ///< null for barrier programs
   std::vector<std::byte> own_;  ///< backs acc_ when the op owns the payload
 };
 
+// ---- step-program builders: one per collective, both families -----------
+//
+// Each returns rank r's steps of a p-rank schedule.  All steps of one call
+// share the call's one collective tag: no program sends two messages over
+// the same directed (src, dst) pair, so tag plus peer names each message.
+namespace {
+
+using Step = CollOp::Step;
+using StepKind = CollOp::StepKind;
+
+/// Tree: dissemination, ceil(log2 p) rounds; in round k every rank signals
+/// (r + 2^k) mod p and waits on (r - 2^k) mod p.  Star: tokens gather at
+/// rank 0, which then releases everyone.
+std::vector<Step> barrierSteps(int r, int p, bool tree) {
+  std::vector<Step> steps;
+  if (tree) {
+    for (int m = 1; m < p; m <<= 1) {
+      steps.push_back({StepKind::kSend, (r + m) % p});
+      steps.push_back({StepKind::kRecvDiscard, (r - m + p) % p});
+    }
+  } else if (r == 0) {
+    for (int q = 1; q < p; ++q) steps.push_back({StepKind::kRecvDiscard, q});
+    for (int q = 1; q < p; ++q) steps.push_back({StepKind::kSend, q});
+  } else {
+    steps.push_back({StepKind::kSend, 0});
+    steps.push_back({StepKind::kRecvDiscard, 0});
+  }
+  return steps;
+}
+
+/// Tree: binomial tree rooted at `root` — each rank receives from its
+/// parent once and forwards to at most ceil(log2 p) children, so the
+/// critical path is O(log p).  Star: the root sends p-1 independent
+/// (buffered) messages.
+std::vector<Step> bcastSteps(int r, int p, int root, bool tree) {
+  std::vector<Step> steps;
+  if (!tree) {
+    if (r != root) return {{StepKind::kRecvReplace, root}};
+    for (int q = 0; q < p; ++q) {
+      if (q != root) steps.push_back({StepKind::kSend, q});
+    }
+    return steps;
+  }
+  const int vr = (r - root + p) % p;  // virtual rank: root -> 0
+  int mask = 1;
+  while (mask < p) {
+    if (vr & mask) {
+      steps.push_back({StepKind::kRecvReplace, (vr - mask + root) % p});
+      break;
+    }
+    mask <<= 1;
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (vr + mask < p) steps.push_back({StepKind::kSend, (vr + mask + root) % p});
+  }
+  return steps;
+}
+
+/// Tree: binomial mirror of bcast — leaves send first, interior ranks fold
+/// each child subtree into their accumulator in ascending-mask order.
+/// Star: the root folds every other rank's contribution in ascending rank
+/// order.  Both associations are fixed, so results are reproducible, but
+/// they differ from each other (pick one family per run).
+std::vector<Step> reduceSteps(int r, int p, int root, bool tree) {
+  std::vector<Step> steps;
+  if (!tree) {
+    if (r != root) return {{StepKind::kSend, root}};
+    for (int q = 0; q < p; ++q) {
+      if (q != root) steps.push_back({StepKind::kRecvCombine, q});
+    }
+    return steps;
+  }
+  const int vr = (r - root + p) % p;
+  for (int mask = 1; mask < p; mask <<= 1) {
+    if (vr & mask) {
+      steps.push_back({StepKind::kSend, (vr - mask + root) % p});
+      break;
+    }
+    if (vr + mask < p) {
+      steps.push_back({StepKind::kRecvCombine, (vr + mask + root) % p});
+    }
+  }
+  return steps;
+}
+
+/// Tree: recursive doubling over the largest power-of-two core; surplus
+/// ranks fold their contribution into a core partner up front and read the
+/// result back at the end, log2(p) exchange rounds on the core.  Every rank
+/// combines the identical operand tree (the ops are bitwise commutative),
+/// so all ranks finish with bitwise-identical results.  Star: rank 0 folds
+/// in ascending rank order and sends the result back to everyone.
+std::vector<Step> allreduceSteps(int r, int p, bool tree) {
+  std::vector<Step> steps;
+  if (!tree) {
+    if (r != 0) return {{StepKind::kSend, 0}, {StepKind::kRecvReplace, 0}};
+    for (int q = 1; q < p; ++q) steps.push_back({StepKind::kRecvCombine, q});
+    for (int q = 1; q < p; ++q) steps.push_back({StepKind::kSend, q});
+    return steps;
+  }
+  int pof2 = 1;
+  while (pof2 * 2 <= p) pof2 *= 2;
+  const int rem = p - pof2;
+  int coreRank = r - rem;  // rank within the power-of-two core, or -1
+  if (r < 2 * rem) {
+    coreRank = r % 2 == 0 ? -1 : r / 2;
+    steps.push_back(r % 2 == 0 ? Step{StepKind::kSend, r + 1}
+                               : Step{StepKind::kRecvCombine, r - 1});
+  }
+  if (coreRank >= 0) {
+    for (int mask = 1; mask < pof2; mask <<= 1) {
+      const int partnerCore = coreRank ^ mask;
+      const int partner =
+          partnerCore < rem ? partnerCore * 2 + 1 : partnerCore + rem;
+      steps.push_back({StepKind::kSend, partner});
+      steps.push_back({StepKind::kRecvCombine, partner});
+    }
+  }
+  if (r < 2 * rem) {
+    steps.push_back(r % 2 == 1 ? Step{StepKind::kSend, r - 1}
+                               : Step{StepKind::kRecvReplace, r + 1});
+  }
+  return steps;
+}
+
+}  // namespace
 }  // namespace detail
 
 CollHandle::CollHandle(std::unique_ptr<detail::CollOp> op)
@@ -842,206 +984,82 @@ std::vector<int> Comm::reserveCollectiveTags(int count) const {
   return tags;
 }
 
+// The blocking collectives run their step program to completion on the
+// stack.  While they wait they progress the rank's outstanding handles too,
+// so a rank may finish handles and blocking collectives in any order.
+
 void Comm::barrier() const {
-  // Tree family: dissemination barrier, ceil(log2 p) rounds; in round k
-  // every rank signals (rank + 2^k) mod p and waits on (rank - 2^k) mod p.
-  // Each round's source is distinct, so one tag disambiguates all rounds.
-  // Star family: gather tokens at rank 0, then release everyone.
   const int tag = nextCollectiveTag(check::CollKind::kBarrier, -1, 0);
-  const int p = size();
-  obs::Span span(detail::useTreeSchedule(*state_, p) ? "coll.barrier.tree"
-                                            : "coll.barrier.star");
-  if (p == 1) return;
-  const int r = rank();
-  const char token = 0;
-  if (!detail::useTreeSchedule(*state_, p)) {
-    if (r == 0) {
-      for (int q = 1; q < p; ++q) (void)recvValue<char>(q, tag);
-      for (int q = 1; q < p; ++q) sendValue(token, q, tag);
-    } else {
-      sendValue(token, 0, tag);
-      (void)recvValue<char>(0, tag);
-    }
-    return;
-  }
-  for (int m = 1; m < p; m <<= 1) {
-    sendValue(token, (r + m) % p, tag);
-    (void)recvValue<char>((r - m + p) % p, tag);
-  }
+  const bool tree = detail::useTreeSchedule(*state_, size());
+  obs::Span span(tree ? "coll.barrier.tree" : "coll.barrier.star");
+  detail::CollOp op(state_, tag, check::CollKind::kBarrier,
+                    detail::barrierSteps(rank(), size(), tree), nullptr,
+                    nullptr, 0, 0, ReduceOp::kSum, nullptr);
+  op.waitDone();
 }
 
 void Comm::bcastBytes(void* data, std::size_t n, int root) const {
-  // Tree family: binomial tree rooted at `root` — each rank receives from
-  // its parent once and forwards to at most ceil(log2 p) children, so the
-  // critical path is O(log p).  Star family: the root sends p-1
-  // independent (buffered, non-blocking) messages.
   const int tag = nextCollectiveTag(check::CollKind::kBcast, root,
                                     static_cast<std::uint64_t>(n));
   const int p = size();
-  obs::Span span(detail::useTreeSchedule(*state_, p) ? "coll.bcast.tree"
-                                            : "coll.bcast.star",
+  const bool tree = detail::useTreeSchedule(*state_, p);
+  obs::Span span(tree ? "coll.bcast.tree" : "coll.bcast.star",
                  static_cast<std::uint64_t>(n));
   LISI_CHECK(root >= 0 && root < p, "bcast: root out of range");
-  if (p == 1) return;
-  if (!detail::useTreeSchedule(*state_, p)) {
-    if (rank() == root) {
-      for (int r = 0; r < p; ++r) {
-        if (r != root) sendBytes(data, n, r, tag);
-      }
-    } else {
-      recvBytesInto(data, n, root, tag);
-    }
-    return;
-  }
-  const int vr = (rank() - root + p) % p;  // virtual rank: root -> 0
-  int mask = 1;
-  while (mask < p) {
-    if (vr & mask) {
-      recvBytesInto(data, n, (vr - mask + root) % p, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < p) sendBytes(data, n, (vr + mask + root) % p, tag);
-    mask >>= 1;
-  }
+  detail::CollOp op(state_, tag, check::CollKind::kBcast,
+                    n == 0 ? std::vector<detail::Step>{}
+                           : detail::bcastSteps(rank(), p, root, tree),
+                    data, nullptr, n, 0, ReduceOp::kSum, nullptr);
+  op.waitDone();
 }
 
 void Comm::reduceBytes(const void* in, void* out, std::size_t count,
                        std::size_t elemSize, ReduceOp op, int root,
                        void (*combine)(void*, const void*, std::size_t,
                                        ReduceOp)) const {
-  // Tree family: binomial tree mirror of bcast — leaves send first,
-  // interior ranks fold each child subtree into their accumulator in
-  // ascending-mask order, so the schedule is fixed and results are
-  // reproducible run-to-run.  Star family: the root folds every rank's
-  // contribution in ascending rank order (also fixed, also reproducible,
-  // but a different association than the tree — pick one family per run).
+  const std::size_t bytes = count * elemSize;
   const int tag = nextCollectiveTag(check::CollKind::kReduce, root,
-                                    static_cast<std::uint64_t>(count * elemSize),
+                                    static_cast<std::uint64_t>(bytes),
                                     static_cast<int>(op));
   const int p = size();
-  obs::Span span(detail::useTreeSchedule(*state_, p) ? "coll.reduce.tree"
-                                            : "coll.reduce.star",
-                 static_cast<std::uint64_t>(count * elemSize));
+  const bool tree = detail::useTreeSchedule(*state_, p);
+  obs::Span span(tree ? "coll.reduce.tree" : "coll.reduce.star",
+                 static_cast<std::uint64_t>(bytes));
   LISI_CHECK(root >= 0 && root < p, "reduce: root out of range");
-  const std::size_t bytes = count * elemSize;
-  if (rank() == root && bytes != 0 && out != in) std::memcpy(out, in, bytes);
-  if (p == 1 || bytes == 0) return;
-  if (!detail::useTreeSchedule(*state_, p)) {
-    if (rank() == root) {
-      std::vector<std::byte> contrib(bytes);
-      for (int r = 0; r < p; ++r) {
-        if (r == root) continue;
-        recvBytesInto(contrib.data(), bytes, r, tag);
-        combine(out, contrib.data(), count, op);
-      }
-    } else {
-      sendBytes(in, bytes, root, tag);
-    }
-    return;
-  }
-  const int vr = (rank() - root + p) % p;
-  std::vector<std::byte> scratch;
-  void* acc = out;
-  if (rank() != root) {
-    scratch.resize(2 * bytes);
-    acc = scratch.data();
-    std::memcpy(acc, in, bytes);
-  } else {
-    scratch.resize(bytes);
-  }
-  std::byte* contrib =
-      rank() == root ? scratch.data() : scratch.data() + bytes;
-  int mask = 1;
-  while (mask < p) {
-    if (vr & mask) {
-      sendBytes(acc, bytes, (vr - mask + root) % p, tag);
-      return;
-    }
-    const int childV = vr + mask;
-    if (childV < p) {
-      recvBytesInto(contrib, bytes, (childV + root) % p, tag);
-      combine(acc, contrib, count, op);
-    }
-    mask <<= 1;
-  }
+  // Non-roots fold their subtree into an op-owned copy of `in`.
+  detail::CollOp collOp(state_, tag, check::CollKind::kReduce,
+                        bytes == 0 ? std::vector<detail::Step>{}
+                                   : detail::reduceSteps(rank(), p, root, tree),
+                        rank() == root ? out : nullptr, in, bytes, count, op,
+                        combine);
+  collOp.waitDone();
 }
 
 void Comm::allreduceBytes(const void* in, void* out, std::size_t count,
                           std::size_t elemSize, ReduceOp op,
                           void (*combine)(void*, const void*, std::size_t,
                                           ReduceOp)) const {
-  // Tree family: recursive doubling over the largest power-of-two core;
-  // surplus ranks fold their contribution into a core partner up front and
-  // read the result back at the end.  log2(p) exchange rounds on the core.
-  // Every rank combines the identical operand tree (the ops are bitwise
-  // commutative), so all ranks finish with bitwise-identical results.
-  // Star family: star reduce into rank 0 + star bcast (all ranks receive
-  // rank 0's bytes, so results are identical across ranks here too).
-  const int p = size();
   const std::size_t bytes = count * elemSize;
-  obs::Span span(detail::useTreeSchedule(*state_, p) ? "coll.allreduce.tree"
-                                            : "coll.allreduce.star",
-                 static_cast<std::uint64_t>(bytes));
-  if (bytes != 0 && out != in) std::memcpy(out, in, bytes);
-  if (p == 1 || bytes == 0) return;
-  if (!detail::useTreeSchedule(*state_, p)) {
-    reduceBytes(out, out, count, elemSize, op, 0, combine);
-    bcastBytes(out, bytes, 0);
-    return;
-  }
   const int tag = nextCollectiveTag(check::CollKind::kAllreduce, -1,
                                     static_cast<std::uint64_t>(bytes),
                                     static_cast<int>(op));
-  const int r = rank();
-  int pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  const int rem = p - pof2;
-  std::vector<std::byte> contrib(bytes);
-  int coreRank;  // rank within the power-of-two core, or -1 if folded out
-  if (r < 2 * rem) {
-    if (r % 2 == 0) {
-      sendBytes(out, bytes, r + 1, tag);
-      coreRank = -1;
-    } else {
-      recvBytesInto(contrib.data(), bytes, r - 1, tag);
-      combine(out, contrib.data(), count, op);
-      coreRank = r / 2;
-    }
-  } else {
-    coreRank = r - rem;
-  }
-  if (coreRank >= 0) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partnerCore = coreRank ^ mask;
-      const int partner =
-          partnerCore < rem ? partnerCore * 2 + 1 : partnerCore + rem;
-      sendBytes(out, bytes, partner, tag);
-      recvBytesInto(contrib.data(), bytes, partner, tag);
-      combine(out, contrib.data(), count, op);
-    }
-  }
-  if (r < 2 * rem) {
-    if (r % 2 == 1) {
-      sendBytes(out, bytes, r - 1, tag);
-    } else {
-      recvBytesInto(out, bytes, r + 1, tag);
-    }
-  }
+  const int p = size();
+  const bool tree = detail::useTreeSchedule(*state_, p);
+  obs::Span span(tree ? "coll.allreduce.tree" : "coll.allreduce.star",
+                 static_cast<std::uint64_t>(bytes));
+  detail::CollOp collOp(state_, tag, check::CollKind::kAllreduce,
+                        bytes == 0 ? std::vector<detail::Step>{}
+                                   : detail::allreduceSteps(rank(), p, tree),
+                        out, in, bytes, count, op, combine);
+  collOp.waitDone();
 }
 
 CollHandle Comm::iallreduceBytes(
     const void* in, void* out, std::size_t count, std::size_t elemSize,
     ReduceOp op,
     void (*combine)(void*, const void*, std::size_t, ReduceOp)) const {
-  // Same step sequences as allreduceBytes (see the schedule notes there),
-  // recorded as a program instead of executed inline, so a completed
-  // iallreduce is bitwise identical to the blocking call.  One fresh
-  // collective tag per handle keeps overlapping iallreduces (and any
-  // blocking collectives issued while this one is in flight) from
+  // One fresh collective tag per handle keeps overlapping iallreduces (and
+  // any blocking collectives issued while this one is in flight) from
   // cross-matching.
   const std::size_t bytes = count * elemSize;
   const int tag = nextCollectiveTag(check::CollKind::kIallreduce, -1,
@@ -1049,87 +1067,24 @@ CollHandle Comm::iallreduceBytes(
                                     static_cast<int>(op));
   obs::count("coll.iallreduce.start");
   const int p = size();
-  if (bytes != 0 && out != in) std::memcpy(out, in, bytes);
-  using Step = detail::CollOp::Step;
-  using K = detail::CollOp::StepKind;
-  std::vector<Step> steps;
-  if (p > 1 && bytes != 0) {
-    const int r = rank();
-    if (!detail::useTreeSchedule(*state_, p)) {
-      if (r == 0) {
-        for (int q = 1; q < p; ++q) steps.push_back({K::kRecvCombine, q});
-        for (int q = 1; q < p; ++q) steps.push_back({K::kSend, q});
-      } else {
-        steps.push_back({K::kSend, 0});
-        steps.push_back({K::kRecvReplace, 0});
-      }
-    } else {
-      int pof2 = 1;
-      while (pof2 * 2 <= p) pof2 *= 2;
-      const int rem = p - pof2;
-      int coreRank;
-      if (r < 2 * rem) {
-        if (r % 2 == 0) {
-          steps.push_back({K::kSend, r + 1});
-          coreRank = -1;
-        } else {
-          steps.push_back({K::kRecvCombine, r - 1});
-          coreRank = r / 2;
-        }
-      } else {
-        coreRank = r - rem;
-      }
-      if (coreRank >= 0) {
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-          const int partnerCore = coreRank ^ mask;
-          const int partner =
-              partnerCore < rem ? partnerCore * 2 + 1 : partnerCore + rem;
-          steps.push_back({K::kSend, partner});
-          steps.push_back({K::kRecvCombine, partner});
-        }
-      }
-      if (r < 2 * rem) {
-        steps.push_back(r % 2 == 1 ? Step{K::kSend, r - 1}
-                                   : Step{K::kRecvReplace, r + 1});
-      }
-    }
-  }
   auto collOp = std::make_unique<detail::CollOp>(
-      state_, tag, std::move(steps), out, bytes, count, elemSize, op, combine);
+      state_, tag, check::CollKind::kIallreduce,
+      bytes == 0 ? std::vector<detail::Step>{}
+                 : detail::allreduceSteps(rank(), p,
+                                          detail::useTreeSchedule(*state_, p)),
+      out, in, bytes, count, op, combine);
   (void)collOp->advance();  // post the leading sends before returning
   return CollHandle(std::move(collOp));
 }
 
 CollHandle Comm::ibarrier() const {
-  // Dissemination rounds (tree family) or token gather/release via rank 0
-  // (star family) — the same patterns as Comm::barrier, recorded as a
-  // program.  The token lives inside the op (acc == nullptr).
   const int tag = nextCollectiveTag(check::CollKind::kIbarrier, -1, 0);
   obs::count("coll.ibarrier.start");
   const int p = size();
-  using Step = detail::CollOp::Step;
-  using K = detail::CollOp::StepKind;
-  std::vector<Step> steps;
-  if (p > 1) {
-    const int r = rank();
-    if (!detail::useTreeSchedule(*state_, p)) {
-      if (r == 0) {
-        for (int q = 1; q < p; ++q) steps.push_back({K::kRecvDiscard, q});
-        for (int q = 1; q < p; ++q) steps.push_back({K::kSend, q});
-      } else {
-        steps.push_back({K::kSend, 0});
-        steps.push_back({K::kRecvDiscard, 0});
-      }
-    } else {
-      for (int m = 1; m < p; m <<= 1) {
-        steps.push_back({K::kSend, (r + m) % p});
-        steps.push_back({K::kRecvDiscard, (r - m + p) % p});
-      }
-    }
-  }
   auto collOp = std::make_unique<detail::CollOp>(
-      state_, tag, std::move(steps), nullptr, 1, 0, 0, ReduceOp::kSum,
-      nullptr);
+      state_, tag, check::CollKind::kIbarrier,
+      detail::barrierSteps(rank(), p, detail::useTreeSchedule(*state_, p)),
+      nullptr, nullptr, 0, 0, ReduceOp::kSum, nullptr);
   (void)collOp->advance();
   return CollHandle(std::move(collOp));
 }

@@ -13,10 +13,13 @@
 //   * Tagged blocking send/recv with kAnySource / kAnyTag wildcards and
 //     per-pair FIFO ordering.
 //   * Collectives: barrier, bcast, reduce, allreduce, gather(v),
-//     allgather(v), scatter(v).  Two schedule families exist: *tree*
-//     (binomial trees, recursive doubling, dissemination, a ring for
-//     allgatherv — logarithmic critical path) and *star* (everything
-//     funnels through a root — fewest scheduler handoffs).  By default the
+//     allgather(v), scatter(v).  Barrier, bcast, reduce and allreduce each
+//     have one step program, run to completion by the blocking call and
+//     returned as a CollHandle by ibarrier/iallreduce.  Two schedule
+//     families exist: *tree* (binomial trees, recursive doubling,
+//     dissemination, a ring for allgatherv — logarithmic critical path)
+//     and *star* (everything funnels through a root — fewest scheduler
+//     handoffs).  By default the
 //     tree schedules run when the host has a core per rank and the star
 //     schedules run when the rank-threads oversubscribe the cores, where
 //     the chained cv-wakeups of a deep schedule serialize and the star's
@@ -103,10 +106,13 @@ class CollOp;
 /// Completion handle for a nonblocking collective (iallreduce / ibarrier).
 ///
 /// MiniMPI has no progress thread: a nonblocking collective advances only
-/// inside test() / wait() (and one eager step at start time, which posts the
-/// leading sends).  test()/wait() drive *every* outstanding nonblocking
-/// collective of the calling rank on the same communicator, not just this
-/// handle's, so handles may be completed in any order without deadlock.
+/// inside test() / wait() and inside the rank's blocking barrier / bcast /
+/// reduce / allreduce calls (plus one eager step at start time, which posts
+/// the leading sends).  Each of these drives *every* outstanding nonblocking
+/// collective of the calling rank on the same communicator, so handles and
+/// blocking collectives may be completed in any order without deadlock.
+/// Point-to-point recv, gather(v), scatter(v) and allgatherv do not
+/// progress handles.
 ///
 /// Rules (MPI-like):
 ///   * All ranks must start the same nonblocking collectives in the same
@@ -238,7 +244,8 @@ class Comm {
               int root) const;
 
   /// Reduction delivered to every rank.  Tree family: recursive doubling,
-  /// O(log p) rounds.  Star family: star reduce to rank 0 + star bcast.
+  /// O(log p) rounds.  Star family: rank 0 folds every contribution in
+  /// ascending rank order and sends the result back to each rank.
   /// `out` must have in.size() elements on every rank.
   template <class T>
   void allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) const;
@@ -255,7 +262,7 @@ class Comm {
 
   /// Start an allreduce; `in` is read (and copied into `out`) at call time,
   /// `out` receives the result by completion and must stay alive and
-  /// untouched until then.  Runs the same schedule as the blocking
+  /// untouched until then.  Runs the same step program as the blocking
   /// allreduce, so the completed `out` is bitwise identical to it.
   template <class T>
   [[nodiscard]] CollHandle iallreduce(std::span<const T> in, std::span<T> out,

@@ -105,6 +105,27 @@ TEST(CommCheck, RecvRecvCycleDiagnosed) {
   }
 }
 
+TEST(CommCheck, BlockingCollectiveWaitNamesItsKind) {
+  SKIP_IF_UNCHECKED();
+  // A blocking collective's wait carries its own kind in the report, not a
+  // generic label.  Pinned to one family so the run does not depend on the
+  // host's core count.
+  comm::setCollectiveSchedule(comm::CollectiveSchedule::kTree);
+  for (const int nranks : {2, 4}) {
+    const std::string msg = runExpectViolation(nranks, [](Comm& c) {
+      if (c.rank() == 0) {
+        // lisi-lint: allow(rank-branch) seeded violation: rank 0 waits in the collective while its peers wait on rank 0
+        (void)c.allreduceValue(1.0, comm::ReduceOp::kSum);
+      } else {
+        (void)c.recvBytes(0, 7);
+      }
+    });
+    expectContains(msg, "deadlock detected");
+    expectContains(msg, "blocked in allreduce");
+  }
+  comm::setCollectiveSchedule(comm::CollectiveSchedule::kAuto);
+}
+
 // ---- 3. tag-space and handle lint ---------------------------------------
 
 TEST(CommCheck, TagBeyondTagSpaceDiagnosed) {

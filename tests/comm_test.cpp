@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <numeric>
+#include <thread>
 
 #include "comm/comm.hpp"
 #include "comm/comm_handle.hpp"
@@ -411,31 +414,118 @@ TEST_P(ScheduleP, FamiliesAgreeOnIntegerReductions) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScheduleP, ::testing::Values(1, 2, 3, 5, 8));
 
+// ---- serial reference folds ------------------------------------------
+// Each family documents a fixed association order; these folds replay it
+// serially so the distributed results can be checked bitwise against a
+// reference that shares no code with src/comm.
+
+using Lanes = std::vector<double>;
+
+Lanes addLanes(Lanes a, const Lanes& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+  return a;
+}
+
+/// Tree allreduce: surplus ranks 2i and 2i+1 (i < p - pof2) fold pairwise,
+/// then recursive doubling over the power-of-two core.
+Lanes treeAllreduceFold(const std::vector<Lanes>& in) {
+  const int p = static_cast<int>(in.size());
+  int pof2 = 1;
+  while (pof2 * 2 <= p) pof2 *= 2;
+  const int rem = p - pof2;
+  std::vector<Lanes> core(static_cast<std::size_t>(pof2));
+  for (int i = 0; i < pof2; ++i) {
+    core[static_cast<std::size_t>(i)] =
+        i < rem ? addLanes(in[static_cast<std::size_t>(2 * i)],
+                           in[static_cast<std::size_t>(2 * i + 1)])
+                : in[static_cast<std::size_t>(i + rem)];
+  }
+  for (int mask = 1; mask < pof2; mask <<= 1) {
+    std::vector<Lanes> next(core.size());
+    for (int i = 0; i < pof2; ++i) {
+      next[static_cast<std::size_t>(i)] =
+          addLanes(core[static_cast<std::size_t>(i)],
+                   core[static_cast<std::size_t>(i ^ mask)]);
+    }
+    core = std::move(next);
+  }
+  return core[0];
+}
+
+/// Tree reduce: binomial tree over virtual ranks v = (r - root) mod p; at
+/// mask m every v with v mod 2m == 0 folds in the subtree of v + m.
+Lanes treeReduceFold(const std::vector<Lanes>& in, int root) {
+  const int p = static_cast<int>(in.size());
+  std::vector<Lanes> acc(in.size());
+  for (int v = 0; v < p; ++v) {
+    acc[static_cast<std::size_t>(v)] = in[static_cast<std::size_t>((v + root) % p)];
+  }
+  for (int mask = 1; mask < p; mask <<= 1) {
+    for (int v = 0; v + mask < p; v += 2 * mask) {
+      acc[static_cast<std::size_t>(v)] =
+          addLanes(acc[static_cast<std::size_t>(v)],
+                   acc[static_cast<std::size_t>(v + mask)]);
+    }
+  }
+  return acc[0];
+}
+
+/// Star reduce (and allreduce, root 0): the root's contribution, then every
+/// other rank's in ascending rank order.
+Lanes starFold(const std::vector<Lanes>& in, int root) {
+  Lanes acc = in[static_cast<std::size_t>(root)];
+  for (std::size_t q = 0; q < in.size(); ++q) {
+    if (static_cast<int>(q) != root) acc = addLanes(acc, in[q]);
+  }
+  return acc;
+}
+
 class NonblockingP : public ::testing::TestWithParam<int> {};
 
 TEST_P(NonblockingP, IallreduceMatchesBlockingBitwise) {
+  // allreduce and iallreduce share one step program, so comparing them
+  // with each other proves little: both, and reduce at every root, must
+  // match the serial fold of their family bit for bit.
   const int p = GetParam();
+  constexpr std::size_t kLanes = 6;
+  // Values spread over 40 binary orders of magnitude, so every change of
+  // association shows up in the low bits.
+  std::vector<Lanes> in(static_cast<std::size_t>(p), Lanes(kLanes));
+  for (int r = 0; r < p; ++r) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const int exponent = (13 * r + 7 * static_cast<int>(i)) % 40 - 20;
+      in[static_cast<std::size_t>(r)][i] =
+          std::sqrt(2.0 + r + 0.37 * static_cast<double>(i)) *
+          std::ldexp(1.0, exponent);
+    }
+  }
+  if (p >= 4) {
+    // The folds are only a reference if the two families' folds differ.
+    EXPECT_NE(treeAllreduceFold(in), starFold(in, 0));
+  }
   for (const CollectiveSchedule sched :
        {CollectiveSchedule::kTree, CollectiveSchedule::kStar}) {
+    const bool tree = sched == CollectiveSchedule::kTree;
+    const Lanes expectAll = tree ? treeAllreduceFold(in) : starFold(in, 0);
     ScheduleGuard guard(sched);
     World::run(p, [&](Comm& c) {
-      // Irrational-ish per-rank values so association order shows up in the
-      // last bits; the nonblocking schedule must replay the blocking one
-      // exactly.
-      std::vector<double> in(5);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        in[i] = std::sqrt(2.0 + c.rank()) / (1.0 + static_cast<double>(i));
-      }
-      std::vector<double> blocking(in.size());
-      c.allreduce(std::span<const double>(in), std::span<double>(blocking),
-                  ReduceOp::kSum);
-      std::vector<double> nonblocking(in.size());
-      CollHandle h = c.iallreduce(std::span<const double>(in),
-                                  std::span<double>(nonblocking),
-                                  ReduceOp::kSum);
+      const std::span<const double> mine(in[static_cast<std::size_t>(c.rank())]);
+      Lanes blocking(kLanes);
+      c.allreduce(mine, std::span<double>(blocking), ReduceOp::kSum);
+      EXPECT_EQ(blocking, expectAll) << "allreduce, rank " << c.rank();
+      Lanes nonblocking(kLanes);
+      CollHandle h =
+          c.iallreduce(mine, std::span<double>(nonblocking), ReduceOp::kSum);
       h.wait();
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(blocking[i], nonblocking[i]);  // bitwise, not almost-equal
+      EXPECT_EQ(nonblocking, expectAll) << "iallreduce, rank " << c.rank();
+      for (int root = 0; root < p; ++root) {
+        Lanes reduced(kLanes, -1.0);
+        c.reduce(mine, std::span<double>(reduced), ReduceOp::kSum, root);
+        if (c.rank() == root) {
+          EXPECT_EQ(reduced,
+                    tree ? treeReduceFold(in, root) : starFold(in, root))
+              << "reduce, root " << root;
+        }
       }
     });
   }
@@ -568,8 +658,53 @@ TEST_P(NonblockingP, EmptyIallreduceCompletesImmediately) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, NonblockingP,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8));
+INSTANTIATE_TEST_SUITE_P(Sizes, NonblockingP, ::testing::Range(1, 9));
+
+// ---- asymmetric completion ------------------------------------------
+// Every rank starts an iallreduce (rank 3 late); rank 0 completes the
+// handle before a blocking collective, the other ranks after it.  The
+// blocking collective must progress the pending handle, or rank 0 waits on
+// a handle step that a peer parked behind the blocking call.  CMake runs
+// this suite as its own entry with a short recv timeout, so a regression
+// fails in seconds.
+
+void runAsymmetricCompletion(const std::function<void(Comm&)>& blocking) {
+  constexpr int p = 4;
+  for (const CollectiveSchedule sched :
+       {CollectiveSchedule::kTree, CollectiveSchedule::kStar}) {
+    ScheduleGuard guard(sched);
+    World::run(p, [&](Comm& c) {
+      if (c.rank() == 3) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      const long mine = c.rank() + 1;
+      long sum = 0;
+      CollHandle h = c.iallreduce(std::span<const long>(&mine, 1),
+                                  std::span<long>(&sum, 1), ReduceOp::kSum);
+      if (c.rank() == 0) {
+        h.wait();
+        blocking(c);
+      } else {
+        blocking(c);
+        h.wait();
+      }
+      EXPECT_EQ(sum, 10);
+    });
+  }
+}
+
+TEST(AsymmetricCompletion, BlockingAllreduceProgressesPendingHandle) {
+  runAsymmetricCompletion(
+      [](Comm& c) { EXPECT_EQ(c.allreduceValue(2, ReduceOp::kSum), 8); });
+}
+
+TEST(AsymmetricCompletion, BarrierProgressesPendingHandle) {
+  runAsymmetricCompletion([](Comm& c) { c.barrier(); });
+}
+
+TEST(AsymmetricCompletion, BcastProgressesPendingHandle) {
+  runAsymmetricCompletion([](Comm& c) {
+    EXPECT_EQ(c.bcastValue(c.rank() == 0 ? 42 : -1, 0), 42);
+  });
+}
 
 TEST(Split, EvenOddGroups) {
   World::run(4, [](Comm& c) {
