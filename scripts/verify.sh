@@ -20,7 +20,10 @@
 #              update paths write positionally into frozen factor / halo-plan
 #              storage, which is exactly the bug class these sanitizers
 #              catch — plus the plugin suite, so dlopen-loaded backends and
-#              the host callback bridge run under the allocator checks;
+#              the host callback bridge run under the allocator checks, and
+#              the comm, pksp and aztec suites, whose Gram-Schmidt kernels
+#              walk raw pointers over the Krylov basis.  UBSAN_OPTIONS makes
+#              any UBSan report fatal, so a finding fails the stage;
 #   4b. plugin: compile the reference plugin OUT-OF-TREE — a scratch dir
 #              holding nothing but a copy of src/abi/lisi_abi.h, a plain C99
 #              compiler, -Werror — proving the ABI header is genuinely
@@ -149,13 +152,21 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # broken-on-purpose fixture plugins (all built with the same sanitizer
 # flags by this tree), so the host↔plugin callback bridge, the option
 # forwarding, and the keep-alive registry all run under ASan+UBSan.
+# comm, pksp and aztec run here because the Gram-Schmidt step and its
+# grouped dot / fused subtraction kernels walk raw pointers over the Krylov
+# basis.  UBSan only prints by default; halt_on_error turns a report into a
+# failing exit status.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
 cmake --build build-asan -j --target sparse_dist_test slu_test \
-  lisi_reuse_test plugin_test
+  lisi_reuse_test plugin_test comm_test pksp_test aztec_test
 ./build-asan/tests/sparse_dist_test
 ./build-asan/tests/slu_test
 ./build-asan/tests/lisi_reuse_test
 ./build-asan/tests/plugin_test
+./build-asan/tests/comm_test
+./build-asan/tests/pksp_test
+./build-asan/tests/aztec_test
 
 # ---- 4b. plugin boundary -----------------------------------------------
 # The ABI header must be self-contained: copy it ALONE into a scratch dir

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <functional>
 
+#include "sparse/dist_csr.hpp"
+
 namespace aztec {
 namespace {
 
@@ -344,17 +346,18 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
                          double threshold, int kspace) {
   const Map& map = a.rowMap();
   const int m = std::max(1, kspace);
+  const auto mu = static_cast<std::size_t>(m);
   IterationResult res;
   Vector r(map), w(map), mz(map);
   std::vector<Vector> v;
-  v.reserve(static_cast<std::size_t>(m) + 1);
-  for (int i = 0; i <= m; ++i) v.emplace_back(map);
-  std::vector<std::vector<double>> h(
-      static_cast<std::size_t>(m) + 1,
-      std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  std::vector<double> cs(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> sn(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> g(static_cast<std::size_t>(m) + 1, 0.0);
+  v.reserve(mu + 1);
+  for (std::size_t i = 0; i <= mu; ++i) v.emplace_back(map);
+  std::vector<const double*> vp(mu + 1);
+  // h[j] is Hessenberg column j (rows 0..j+1).
+  std::vector<std::vector<double>> h(mu, std::vector<double>(mu + 1, 0.0));
+  std::vector<double> cs(mu, 0.0);
+  std::vector<double> sn(mu, 0.0);
+  std::vector<double> g(mu + 1, 0.0);
 
   while (true) {
     a.apply(x, r);
@@ -377,52 +380,46 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
     int j = 0;
     bool converged = false;
     for (; j < m && res.its < maxIter; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
       ++res.its;
-      pc(v[static_cast<std::size_t>(j)], mz);   // mz = M^{-1} v_j
-      a.apply(mz, w);                           // w = A M^{-1} v_j
-      for (int i = 0; i <= j; ++i) {
-        const double hij = w.dot(v[static_cast<std::size_t>(i)]);
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = hij;
-        w.update(-hij, v[static_cast<std::size_t>(i)], 1.0);
-      }
-      const double hnext = w.norm2();
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = hnext;
+      pc(v[ju], mz);       // mz = M^{-1} v_j
+      a.apply(mz, w);      // w = A M^{-1} v_j
+      // Basis pointers are taken per step: the copy-assignments into v
+      // below do not promise to keep the storage in place.
+      for (std::size_t i = 0; i <= ju; ++i) vp[i] = v[i].localView().data();
+      std::vector<double>& hj = h[ju];
+      const lisi::sparse::CgsLane lane{
+          w.localView(), std::span<const double* const>(vp).first(ju + 1),
+          std::span<double>(hj).first(ju + 2)};
+      lisi::sparse::cgsOrthogonalize(
+          map.comm(), std::span<const lisi::sparse::CgsLane>(&lane, 1));
+      const double hnext = hj[ju + 1];
       if (isBad(hnext)) {
         res.why = AZ_breakdown;
         return res;
       }
       const bool lucky = hnext <= 1e-300;
       if (!lucky) {
-        v[static_cast<std::size_t>(j) + 1] = w;
-        v[static_cast<std::size_t>(j) + 1].update(0.0, w, 1.0 / hnext);
+        v[ju + 1] = w;
+        v[ju + 1].update(0.0, w, 1.0 / hnext);
       }
-      for (int i = 0; i < j; ++i) {
-        const double t =
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)] =
-            -sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = t;
+      for (std::size_t i = 0; i < ju; ++i) {
+        const double t = cs[i] * hj[i] + sn[i] * hj[i + 1];
+        hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
+        hj[i] = t;
       }
-      const double hjj = h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)];
+      const double hjj = hj[ju];
       const double denom = std::sqrt(hjj * hjj + hnext * hnext);
       if (denom == 0.0) {
         res.why = AZ_breakdown;
         return res;
       }
-      cs[static_cast<std::size_t>(j)] = hjj / denom;
-      sn[static_cast<std::size_t>(j)] = hnext / denom;
-      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] = denom;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      res.resid = std::abs(g[static_cast<std::size_t>(j) + 1]);
+      cs[ju] = hjj / denom;
+      sn[ju] = hnext / denom;
+      hj[ju] = denom;
+      g[ju + 1] = -sn[ju] * g[ju];
+      g[ju] = cs[ju] * g[ju];
+      res.resid = std::abs(g[ju + 1]);
       if (res.resid <= threshold || lucky) {
         ++j;
         converged = true;
@@ -431,25 +428,19 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
     }
 
     // x += M^{-1} (V y): accumulate V y first, precondition once.
-    std::vector<double> y(static_cast<std::size_t>(j), 0.0);
-    for (int i = j - 1; i >= 0; --i) {
-      double acc = g[static_cast<std::size_t>(i)];
-      for (int k = i + 1; k < j; ++k) {
-        acc -= h[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] *
-               y[static_cast<std::size_t>(k)];
-      }
-      const double hii = h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-      if (hii == 0.0) {
+    const auto ju = static_cast<std::size_t>(j);
+    std::vector<double> y(ju, 0.0);
+    for (std::size_t i = ju; i-- > 0;) {
+      double acc = g[i];
+      for (std::size_t k = i + 1; k < ju; ++k) acc -= h[k][i] * y[k];
+      if (h[i][i] == 0.0) {
         res.why = AZ_breakdown;
         return res;
       }
-      y[static_cast<std::size_t>(i)] = acc / hii;
+      y[i] = acc / h[i][i];
     }
     Vector vy(map);
-    for (int i = 0; i < j; ++i) {
-      vy.update(y[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)],
-                1.0);
-    }
+    for (std::size_t i = 0; i < ju; ++i) vy.update(y[i], v[i], 1.0);
     pc(vy, mz);
     x.update(1.0, mz, 1.0);
 

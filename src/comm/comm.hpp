@@ -215,7 +215,8 @@ class Comm {
     std::vector<std::byte> raw = recvBytes(src, tag, status);
     LISI_CHECK(raw.size() % sizeof(T) == 0, "message size not a multiple of T");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // An empty payload has null data(); memcpy forbids null even for 0 bytes.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

@@ -33,6 +33,8 @@ namespace pksp::detail {
 namespace {
 
 using lisi::comm::Comm;
+using lisi::sparse::CgsLane;
+using lisi::sparse::cgsOrthogonalize;
 using lisi::sparse::DistCsrMatrix;
 using lisi::sparse::DotArgs;
 using lisi::sparse::distDotsBegin;
@@ -221,17 +223,22 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
   std::vector<char> done(nv, 0);       // lane fully finished (any reason)
 
   Vec r(n * nv), blockIn(n * nv), w(n * nv), wz(n * nv);
-  // Per-lane Krylov basis and Hessenberg factors (identical shapes to the
+  // Per-lane Krylov basis and Hessenberg columns (identical shapes to the
   // single-RHS runGmres so the per-lane arithmetic matches it exactly).
   std::vector<std::vector<Vec>> basis(
       nv, std::vector<Vec>(mru + 1, Vec(n)));
-  std::vector<std::vector<Vec>> h(
-      nv, std::vector<Vec>(mru + 1, Vec(mru, 0.0)));
+  std::vector<std::vector<const double*>> basisPtr(
+      nv, std::vector<const double*>(mru + 1));
+  for (std::size_t v = 0; v < nv; ++v) {
+    for (std::size_t i = 0; i <= mru; ++i) basisPtr[v][i] = basis[v][i].data();
+  }
+  std::vector<std::vector<Vec>> h(nv, std::vector<Vec>(mru, Vec(mru + 1, 0.0)));
   std::vector<Vec> cs(nv, Vec(mru, 0.0));
   std::vector<Vec> sn(nv, Vec(mru, 0.0));
   std::vector<Vec> g(nv, Vec(mru + 1, 0.0));
 
   std::vector<DotArgs> dots;
+  std::vector<CgsLane> cgs;
   bool first = true;
 
   while (true) {
@@ -320,37 +327,21 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
       for (const std::size_t v : stepLanes) {
         m.apply(lane(w, v, n), lane(wz, v, n));
       }
-      // Modified Gram-Schmidt: the per-column dot fuses across lanes (the
-      // i-recurrence itself stays sequential, exactly as single-RHS MGS).
-      for (int i = 0; i <= j; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        dots.clear();
-        for (const std::size_t v : stepLanes) {
-          dots.push_back({lane(wz, v, n), std::span<const double>(basis[v][iu])});
-        }
-        pending = distDotsBegin(comm, dots);
-        const std::span<const double> hs = distDotsEnd(pending);
-        for (std::size_t k = 0; k < stepLanes.size(); ++k) {
-          const std::size_t v = stepLanes[k];
-          const double hij = hs[k];
-          h[v][iu][ju] = hij;
-          std::span<double> wzv = lane(wz, v, n);
-          for (std::size_t t = 0; t < n; ++t) wzv[t] -= hij * basis[v][iu][t];
-        }
-      }
-      dots.clear();
+      // Classical Gram-Schmidt over every stepping lane at once: the
+      // projections of all lanes share one allreduce, the norms another.
+      cgs.clear();
       for (const std::size_t v : stepLanes) {
-        dots.push_back({lane(wz, v, n), lane(wz, v, n)});
+        const std::span<const double* const> vs(basisPtr[v]);
+        cgs.push_back({lane(wz, v, n), vs.first(ju + 1),
+                       std::span<double>(h[v][ju]).first(ju + 2)});
       }
-      pending = distDotsBegin(comm, dots);
-      const std::span<const double> hn = distDotsEnd(pending);
+      cgsOrthogonalize(comm, cgs);
 
       int maxIts = 0;
       double maxResid = 0.0;
-      for (std::size_t k = 0; k < stepLanes.size(); ++k) {
-        const std::size_t v = stepLanes[k];
-        const double hnext = std::sqrt(hn[k]);
-        h[v][ju + 1][ju] = hnext;
+      for (const std::size_t v : stepLanes) {
+        Vec& hj = h[v][ju];
+        const double hnext = hj[ju + 1];
         if (isBad(hnext)) {
           reps[v].reason = PKSP_DIVERGED_NAN;
           reps[v].iterations = its[v];
@@ -366,15 +357,12 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
             basis[v][ju + 1][t] = wzv[t] / hnext;
           }
         }
-        for (int i = 0; i < j; ++i) {
-          const auto iu = static_cast<std::size_t>(i);
-          const double t =
-              cs[v][iu] * h[v][iu][ju] + sn[v][iu] * h[v][iu + 1][ju];
-          h[v][iu + 1][ju] =
-              -sn[v][iu] * h[v][iu][ju] + cs[v][iu] * h[v][iu + 1][ju];
-          h[v][iu][ju] = t;
+        for (std::size_t i = 0; i < ju; ++i) {
+          const double t = cs[v][i] * hj[i] + sn[v][i] * hj[i + 1];
+          hj[i + 1] = -sn[v][i] * hj[i] + cs[v][i] * hj[i + 1];
+          hj[i] = t;
         }
-        const double hjj = h[v][ju][ju];
+        const double hjj = hj[ju];
         const double denom = std::sqrt(hjj * hjj + hnext * hnext);
         if (denom == 0.0) {
           reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
@@ -386,8 +374,8 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
         }
         cs[v][ju] = hjj / denom;
         sn[v][ju] = hnext / denom;
-        h[v][ju][ju] = denom;
-        h[v][ju + 1][ju] = 0.0;
+        hj[ju] = denom;
+        hj[ju + 1] = 0.0;
         g[v][ju + 1] = -sn[v][ju] * g[v][ju];
         g[v][ju] = cs[v][ju] * g[v][ju];
 
@@ -406,17 +394,13 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
     // ---- per-lane triangular solve + solution update -------------------
     for (const std::size_t v : running) {
       if (done[v] || noUpdate[v] || jTaken[v] == 0) continue;
-      const int jv = jTaken[v];
-      Vec y(static_cast<std::size_t>(jv), 0.0);
+      const auto jv = static_cast<std::size_t>(jTaken[v]);
+      Vec y(jv, 0.0);
       bool broke = false;
-      for (int i = jv - 1; i >= 0; --i) {
-        const auto iu = static_cast<std::size_t>(i);
-        double acc = g[v][iu];
-        for (int k = i + 1; k < jv; ++k) {
-          acc -= h[v][iu][static_cast<std::size_t>(k)] *
-                 y[static_cast<std::size_t>(k)];
-        }
-        const double hii = h[v][iu][iu];
+      for (std::size_t i = jv; i-- > 0;) {
+        double acc = g[v][i];
+        for (std::size_t k = i + 1; k < jv; ++k) acc -= h[v][k][i] * y[k];
+        const double hii = h[v][i][i];
         if (hii == 0.0) {
           reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
           reps[v].iterations = its[v];
@@ -424,13 +408,12 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
           broke = true;
           break;
         }
-        y[iu] = acc / hii;
+        y[i] = acc / hii;
       }
       if (broke) continue;
       std::span<double> xv = lane(x, v, n);
-      for (int i = 0; i < jv; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        for (std::size_t t = 0; t < n; ++t) xv[t] += y[iu] * basis[v][iu][t];
+      for (std::size_t i = 0; i < jv; ++i) {
+        for (std::size_t t = 0; t < n; ++t) xv[t] += y[i] * basis[v][i][t];
       }
       reps[v].iterations = its[v];
       if (cycleReason[v] != PKSP_ITERATING) {

@@ -13,6 +13,8 @@ namespace pksp::detail {
 namespace {
 
 using lisi::comm::Comm;
+using lisi::sparse::CgsLane;
+using lisi::sparse::cgsOrthogonalize;
 using lisi::sparse::distDot;
 using lisi::sparse::distDot2;
 using lisi::sparse::distNorm2;
@@ -117,15 +119,18 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
                      std::span<double> x, const Tolerances& tol, int restart) {
   const std::size_t n = x.size();
   const int mr = std::max(1, restart);
+  const auto mru = static_cast<std::size_t>(mr);
   SolveReport rep;
   Vec r(n), z(n), w(n), wz(n);
-  // Krylov basis (mr+1 local vectors) and Hessenberg factors.
-  std::vector<Vec> v(static_cast<std::size_t>(mr) + 1, Vec(n));
-  std::vector<Vec> h(static_cast<std::size_t>(mr) + 1,
-                     Vec(static_cast<std::size_t>(mr), 0.0));
-  Vec cs(static_cast<std::size_t>(mr), 0.0);
-  Vec sn(static_cast<std::size_t>(mr), 0.0);
-  Vec g(static_cast<std::size_t>(mr) + 1, 0.0);
+  // Krylov basis (mr+1 local vectors) and Hessenberg factors; h[j] is
+  // column j (rows 0..j+1).
+  std::vector<Vec> v(mru + 1, Vec(n));
+  std::vector<const double*> vp(mru + 1);
+  for (std::size_t i = 0; i <= mru; ++i) vp[i] = v[i].data();
+  std::vector<Vec> h(mru, Vec(mru + 1, 0.0));
+  Vec cs(mru, 0.0);
+  Vec sn(mru, 0.0);
+  Vec g(mru + 1, 0.0);
 
   Monitor mon;
   bool first = true;
@@ -163,22 +168,16 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
     int j = 0;
     PkspConvergedReason innerReason = PKSP_ITERATING;
     for (; j < mr && totalIts < tol.maxits; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
       ++totalIts;
-      a.apply(std::span<const double>(v[static_cast<std::size_t>(j)]),
-              std::span<double>(w));
+      a.apply(std::span<const double>(v[ju]), std::span<double>(w));
       m.apply(std::span<const double>(w), std::span<double>(wz));
-      // Modified Gram-Schmidt.
-      for (int i = 0; i <= j; ++i) {
-        const double hij =
-            distDot(comm, std::span<const double>(wz),
-                    std::span<const double>(v[static_cast<std::size_t>(i)]));
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = hij;
-        for (std::size_t k = 0; k < n; ++k) {
-          wz[k] -= hij * v[static_cast<std::size_t>(i)][k];
-        }
-      }
-      const double hnext = distNorm2(comm, std::span<const double>(wz));
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = hnext;
+      Vec& hj = h[ju];
+      const CgsLane lane{std::span<double>(wz),
+                         std::span<const double* const>(vp).first(ju + 1),
+                         std::span<double>(hj).first(ju + 2)};
+      cgsOrthogonalize(comm, std::span<const CgsLane>(&lane, 1));
+      const double hnext = hj[ju + 1];
       if (isBad(hnext)) {
         rep.reason = PKSP_DIVERGED_NAN;
         rep.iterations = totalIts;
@@ -186,42 +185,30 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
       }
       const bool luckyBreakdown = hnext <= 1e-300;
       if (!luckyBreakdown) {
-        for (std::size_t k = 0; k < n; ++k) {
-          v[static_cast<std::size_t>(j) + 1][k] = wz[k] / hnext;
-        }
+        for (std::size_t k = 0; k < n; ++k) v[ju + 1][k] = wz[k] / hnext;
       }
       // Apply existing Givens rotations to the new column.
-      for (int i = 0; i < j; ++i) {
-        const double t =
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)] =
-            -sn[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +
-            cs[static_cast<std::size_t>(i)] *
-                h[static_cast<std::size_t>(i) + 1][static_cast<std::size_t>(j)];
-        h[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = t;
+      for (std::size_t i = 0; i < ju; ++i) {
+        const double t = cs[i] * hj[i] + sn[i] * hj[i + 1];
+        hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
+        hj[i] = t;
       }
       // New rotation to annihilate h[j+1][j].
-      const double hjj = h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)];
+      const double hjj = hj[ju];
       const double denom = std::sqrt(hjj * hjj + hnext * hnext);
       if (denom == 0.0) {
         rep.reason = PKSP_DIVERGED_BREAKDOWN;
         rep.iterations = totalIts;
         return rep;
       }
-      cs[static_cast<std::size_t>(j)] = hjj / denom;
-      sn[static_cast<std::size_t>(j)] = hnext / denom;
-      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] = denom;
-      h[static_cast<std::size_t>(j) + 1][static_cast<std::size_t>(j)] = 0.0;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+      cs[ju] = hjj / denom;
+      sn[ju] = hnext / denom;
+      hj[ju] = denom;
+      hj[ju + 1] = 0.0;
+      g[ju + 1] = -sn[ju] * g[ju];
+      g[ju] = cs[ju] * g[ju];
 
-      const double resid = std::abs(g[static_cast<std::size_t>(j) + 1]);
+      const double resid = std::abs(g[ju + 1]);
       if (tol.monitor) tol.monitor(totalIts, resid);
       rep.residualNorm = resid;
       innerReason = mon.test(resid);
@@ -232,26 +219,20 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
     }
 
     // Solve the j-by-j triangular system and update x.
-    Vec y(static_cast<std::size_t>(j), 0.0);
-    for (int i = j - 1; i >= 0; --i) {
-      double acc = g[static_cast<std::size_t>(i)];
-      for (int k = i + 1; k < j; ++k) {
-        acc -= h[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] *
-               y[static_cast<std::size_t>(k)];
-      }
-      const double hii = h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-      if (hii == 0.0) {
+    const auto ju = static_cast<std::size_t>(j);
+    Vec y(ju, 0.0);
+    for (std::size_t i = ju; i-- > 0;) {
+      double acc = g[i];
+      for (std::size_t k = i + 1; k < ju; ++k) acc -= h[k][i] * y[k];
+      if (h[i][i] == 0.0) {
         rep.reason = PKSP_DIVERGED_BREAKDOWN;
         rep.iterations = totalIts;
         return rep;
       }
-      y[static_cast<std::size_t>(i)] = acc / hii;
+      y[i] = acc / h[i][i];
     }
-    for (int i = 0; i < j; ++i) {
-      for (std::size_t k = 0; k < n; ++k) {
-        x[k] += y[static_cast<std::size_t>(i)] *
-                v[static_cast<std::size_t>(i)][k];
-      }
+    for (std::size_t i = 0; i < ju; ++i) {
+      for (std::size_t k = 0; k < n; ++k) x[k] += y[i] * v[i][k];
     }
     rep.iterations = totalIts;
     if (innerReason != PKSP_ITERATING) {

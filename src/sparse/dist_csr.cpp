@@ -884,6 +884,79 @@ double distNormInf(const comm::Comm& comm, std::span<const double> x) {
   return comm.allreduceValue(local, comm::ReduceOp::kMax);
 }
 
+namespace {
+
+/// Local partials of G dot lanes in one sweep over the rows.  Each lane
+/// keeps its own accumulator and adds in index order — the same chain as
+/// distDot's loop, so every lane is bitwise what distDot would reduce —
+/// while the G independent chains overlap instead of waiting on one add
+/// latency each.  SharedX loads x once when every lane's x is the same
+/// vector (the Gram-Schmidt projections of one w).
+template <int G, bool SharedX>
+void localDotsGroup(const DotArgs* d, double* out) {
+  const std::size_t n = d[0].x.size();
+  const double* x[G];
+  const double* y[G];
+  double acc[G];
+  for (int l = 0; l < G; ++l) {
+    x[l] = d[l].x.data();
+    y[l] = d[l].y.data();
+    acc[l] = 0.0;
+  }
+  // Unrolled so the accumulators live in registers (-O2 keeps a runtime
+  // lane loop and round-trips acc[] through memory otherwise).
+  for (std::size_t i = 0; i < n; ++i) {
+    if constexpr (SharedX) {
+      const double xi = x[0][i];
+#pragma GCC unroll 8
+      for (int l = 0; l < G; ++l) acc[l] += xi * y[l][i];
+    } else {
+#pragma GCC unroll 8
+      for (int l = 0; l < G; ++l) acc[l] += x[l][i] * y[l][i];
+    }
+  }
+  for (int l = 0; l < G; ++l) out[l] = acc[l];
+}
+
+template <int G>
+void localDotsGroup(const DotArgs* d, double* out) {
+  bool sharedX = true;
+  for (int l = 1; l < G; ++l) {
+    sharedX = sharedX && d[l].x.data() == d[0].x.data();
+  }
+  if (sharedX) {
+    localDotsGroup<G, true>(d, out);
+  } else {
+    localDotsGroup<G, false>(d, out);
+  }
+}
+
+/// Local partial sums of every lane.  Consecutive lanes of equal length
+/// share sweeps, up to 8 lanes per sweep.
+void localDots(std::span<const DotArgs> dots, std::span<double> out) {
+  for (const DotArgs& d : dots) {
+    LISI_CHECK(d.x.size() == d.y.size(), "distDotsBegin: local size mismatch");
+  }
+  std::size_t l = 0;
+  while (l < dots.size()) {
+    std::size_t end = l + 1;
+    while (end < dots.size() && dots[end].x.size() == dots[l].x.size()) ++end;
+    for (; l + 8 <= end; l += 8) localDotsGroup<8>(&dots[l], &out[l]);
+    if (l + 4 <= end) {
+      localDotsGroup<4>(&dots[l], &out[l]);
+      l += 4;
+    }
+    if (l + 2 <= end) {
+      localDotsGroup<2>(&dots[l], &out[l]);
+      l += 2;
+    }
+    if (l < end) localDotsGroup<1>(&dots[l], &out[l]);
+    l = end;
+  }
+}
+
+}  // namespace
+
 PendingDots distDotsBegin(const comm::Comm& comm,
                           std::span<const DotArgs> dots) {
   PendingDots pending;
@@ -891,15 +964,7 @@ PendingDots distDotsBegin(const comm::Comm& comm,
   auto& buf = *pending.buf_;
   buf.local.resize(dots.size());
   buf.global.resize(dots.size());
-  for (std::size_t lane = 0; lane < dots.size(); ++lane) {
-    const DotArgs& d = dots[lane];
-    LISI_CHECK(d.x.size() == d.y.size(), "distDotsBegin: local size mismatch");
-    // Identical summation loop to distDot, so each lane's partial is
-    // bitwise what the blocking call would feed the reduction.
-    double local = 0.0;
-    for (std::size_t i = 0; i < d.x.size(); ++i) local += d.x[i] * d.y[i];
-    buf.local[lane] = local;
-  }
+  localDots(dots, std::span<double>(buf.local));
   pending.handle_ = comm.iallreduce(std::span<const double>(buf.local),
                                     std::span<double>(buf.global),
                                     comm::ReduceOp::kSum);
@@ -936,6 +1001,47 @@ std::array<double, 2> distDot2End(PendingDots& pending) {
   const std::span<const double> r = distDotsEnd(pending);
   LISI_CHECK(r.size() == 2, "distDot2End: batch is not two-lane");
   return {r[0], r[1]};
+}
+
+void cgsOrthogonalize(const comm::Comm& comm, std::span<const CgsLane> lanes) {
+  std::size_t total = 0;
+  for (const CgsLane& ln : lanes) {
+    LISI_CHECK(ln.h.size() == ln.basis.size() + 1,
+               "cgsOrthogonalize: h must hold basis.size()+1 entries");
+    total += ln.basis.size();
+  }
+  // Reduction 1: every projection <w, v_i> of every lane.
+  std::vector<DotArgs> dots;
+  dots.reserve(std::max(total, lanes.size()));
+  for (const CgsLane& ln : lanes) {
+    for (const double* v : ln.basis) {
+      dots.push_back({ln.w, std::span<const double>(v, ln.w.size())});
+    }
+  }
+  std::vector<double> local(dots.size());
+  std::vector<double> global(dots.size());
+  localDots(dots, std::span<double>(local));
+  comm.allreduce(std::span<const double>(local), std::span<double>(global),
+                 comm::ReduceOp::kSum);
+  std::size_t at = 0;
+  for (const CgsLane& ln : lanes) {
+    const std::size_t k = ln.basis.size();
+    std::copy_n(global.begin() + static_cast<std::ptrdiff_t>(at), k,
+                ln.h.begin());
+    subtractCombination(ln.w, ln.basis, ln.h.first(k));
+    at += k;
+  }
+  // Reduction 2: ||w|| of every lane.
+  dots.clear();
+  for (const CgsLane& ln : lanes) dots.push_back({ln.w, ln.w});
+  local.resize(dots.size());
+  global.resize(dots.size());
+  localDots(dots, std::span<double>(local));
+  comm.allreduce(std::span<const double>(local), std::span<double>(global),
+                 comm::ReduceOp::kSum);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lanes[l].h.back() = std::sqrt(global[l]);
+  }
 }
 
 }  // namespace lisi::sparse

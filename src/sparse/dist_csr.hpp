@@ -271,8 +271,9 @@ class DistCsrMatrix {
 // nonblocking allreduce over all lanes; the caller overlaps useful work
 // (SpMV, preconditioner application) and collects the results with
 // distDotsEnd.  Each lane is bitwise identical to the corresponding
-// blocking distDot/distDot2 lane: the local summation loop and the
-// elementwise reduction schedule are the same, only the waiting moves.
+// blocking distDot/distDot2 lane: the lane's local summation order and the
+// elementwise reduction schedule are the same, only the waiting moves (the
+// local sums sweep up to 8 lanes per pass, each with its own accumulator).
 // Like every collective, all ranks must begin the same dot batches in the
 // same order.
 
@@ -338,5 +339,24 @@ std::span<const double> distDotsEnd(PendingDots& pending);
 
 /// Finish a two-lane begin.
 [[nodiscard]] std::array<double, 2> distDot2End(PendingDots& pending);
+
+// ---- Arnoldi orthogonalization ------------------------------------------
+
+/// One Arnoldi lane of cgsOrthogonalize.  `w` must not overlap the basis.
+struct CgsLane {
+  std::span<double> w;                   ///< new direction, updated in place
+  std::span<const double* const> basis;  ///< v_0..v_j, w.size() entries each
+  std::span<double> h;                   ///< out: <w,v_0>..<w,v_j>, then ||w||
+};
+
+/// Single-pass classical Gram-Schmidt for a batch of lanes, in exactly two
+/// fused allreduces whatever the lane count and basis sizes:
+///   1. h_i = <w, v_i> for every i of every lane;
+///   2. after w -= sum_i h_i v_i (subtractCombination), h_{j+1} = ||w||.
+/// Each h_i is bitwise distDot(w, v_i) and the norm bitwise distNorm2(w),
+/// so a lane's results do not depend on which other lanes share the batch.
+/// No reorthogonalization pass runs (DESIGN.md §6).  Collective: every rank
+/// passes the same lane count with the same basis sizes.
+void cgsOrthogonalize(const comm::Comm& comm, std::span<const CgsLane> lanes);
 
 }  // namespace lisi::sparse

@@ -298,6 +298,54 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
+namespace {
+
+/// One sweep of subtractCombination over G basis vectors.  Two elements
+/// per iteration: their chains are independent, so the pair overlaps (and
+/// packs into one SIMD register) without changing either element's order.
+template <int G>
+void subtractGroup(std::span<double> w, const double* const* v,
+                   const double* h) {
+  const std::size_t n = w.size();
+  std::size_t k = 0;
+  for (; k + 2 <= n; k += 2) {
+    double t0 = w[k];
+    double t1 = w[k + 1];
+#pragma GCC unroll 8
+    for (int l = 0; l < G; ++l) {
+      t0 -= h[l] * v[l][k];
+      t1 -= h[l] * v[l][k + 1];
+    }
+    w[k] = t0;
+    w[k + 1] = t1;
+  }
+  if (k < n) {
+    double t = w[k];
+    for (int l = 0; l < G; ++l) t -= h[l] * v[l][k];
+    w[k] = t;
+  }
+}
+
+}  // namespace
+
+void subtractCombination(std::span<double> w,
+                         std::span<const double* const> basis,
+                         std::span<const double> h) {
+  LISI_CHECK(basis.size() == h.size(), "subtractCombination: size mismatch");
+  const std::size_t m = basis.size();
+  std::size_t l = 0;
+  for (; l + 8 <= m; l += 8) subtractGroup<8>(w, &basis[l], &h[l]);
+  if (l + 4 <= m) {
+    subtractGroup<4>(w, &basis[l], &h[l]);
+    l += 4;
+  }
+  if (l + 2 <= m) {
+    subtractGroup<2>(w, &basis[l], &h[l]);
+    l += 2;
+  }
+  if (l < m) subtractGroup<1>(w, &basis[l], &h[l]);
+}
+
 double residualNorm(const CsrMatrix& a, std::span<const double> x,
                     std::span<const double> b) {
   std::vector<double> r(static_cast<std::size_t>(a.rows));

@@ -73,6 +73,15 @@ void spmv(const SellCMatrixF& a, std::span<const float> x,
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
+/// w -= sum_i h[i]*basis[i], each basis[i] pointing at w.size() entries.
+/// Every element subtracts the terms in index order, so the result is
+/// bitwise identical to axpy(-h[i], basis[i], w) for i = 0, 1, ... in turn;
+/// the sweep just reads w once per group of basis vectors instead of once
+/// per vector.
+void subtractCombination(std::span<double> w,
+                         std::span<const double* const> basis,
+                         std::span<const double> h);
+
 /// ||b - A*x||_2 (serial reference residual).
 [[nodiscard]] double residualNorm(const CsrMatrix& a, std::span<const double> x,
                                   std::span<const double> b);

@@ -9,6 +9,7 @@
 
 #include "comm/comm.hpp"
 #include "mesh/pde5pt.hpp"
+#include "obs/obs.hpp"
 #include "pksp/pksp.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/generate.hpp"
@@ -815,6 +816,129 @@ TEST(PkspMulti, BlockedGmresMatchesSequentialBitwise) {
   for (const int p : {1, 2, 3}) {
     checkBlockedMatchesSequential(PKSP_GMRES, PKSP_PC_ILU0, p);
   }
+}
+
+// ---- GMRES orthogonalization -------------------------------------------
+//
+// GMRES orthogonalizes with single-pass classical Gram-Schmidt.  Guard its
+// numerics against the modified Gram-Schmidt it replaced: on the 64^2
+// Figure 5 operator each solve may take at most 2 % more iterations than
+// the MGS count recorded here, and must reach a true relative residual
+// within 10*rtol.
+
+struct GmresParityCase {
+  PkspPcType pc;
+  int ranks;
+  int restart;
+  double rtol;
+  int mgsIterations;
+};
+
+TEST(PkspGmres, IterationsWithinTwoPercentOfModifiedGramSchmidt) {
+  constexpr GmresParityCase kCases[] = {
+      {PKSP_PC_NONE, 1, 30, 1e-6, 326},  {PKSP_PC_NONE, 1, 30, 1e-10, 509},
+      {PKSP_PC_NONE, 1, 100, 1e-6, 213}, {PKSP_PC_NONE, 1, 100, 1e-10, 330},
+      {PKSP_PC_NONE, 4, 30, 1e-6, 326},  {PKSP_PC_NONE, 4, 30, 1e-10, 509},
+      {PKSP_PC_NONE, 4, 100, 1e-6, 213}, {PKSP_PC_NONE, 4, 100, 1e-10, 330},
+      {PKSP_PC_ILU0, 1, 30, 1e-6, 64},   {PKSP_PC_ILU0, 1, 30, 1e-10, 114},
+      {PKSP_PC_ILU0, 1, 100, 1e-6, 52},  {PKSP_PC_ILU0, 1, 100, 1e-10, 74},
+      {PKSP_PC_ILU0, 4, 30, 1e-6, 83},   {PKSP_PC_ILU0, 4, 30, 1e-10, 135},
+      {PKSP_PC_ILU0, 4, 100, 1e-6, 62},  {PKSP_PC_ILU0, 4, 100, 1e-10, 91},
+  };
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 64;
+  for (const GmresParityCase& k : kCases) {
+    int its = 0;
+    double relResidual = 0.0;
+    World::run(k.ranks, [&](Comm& c) {
+      const auto local = lisi::mesh::assembleLocal(spec, c.rank(), c.size());
+      DistCsrMatrix a(c, local.globalN, local.globalN, local.startRow,
+                      local.localA);
+      KSP ksp = nullptr;
+      ASSERT_EQ(KSPCreate(c, &ksp), PKSP_SUCCESS);
+      KSPSetOperator(ksp, &a);
+      KSPSetType(ksp, PKSP_GMRES);
+      KSPSetPCType(ksp, k.pc);
+      KSPSetRestart(ksp, k.restart);
+      KSPSetTolerances(ksp, k.rtol, 0.0, 10000);
+      std::vector<double> x(local.localB.size());
+      EXPECT_EQ(KSPSolve(ksp, std::span<const double>(local.localB),
+                         std::span<double>(x)),
+                PKSP_SUCCESS);
+      std::vector<double> r(x.size());
+      a.spmv(std::span<const double>(x), std::span<double>(r));
+      for (std::size_t i = 0; i < r.size(); ++i) r[i] = local.localB[i] - r[i];
+      const double rn = lisi::sparse::distNorm2(c, std::span<const double>(r));
+      const double bn =
+          lisi::sparse::distNorm2(c, std::span<const double>(local.localB));
+      if (c.rank() == 0) {
+        KSPGetIterationNumber(ksp, &its);
+        relResidual = rn / bn;
+      }
+      KSPDestroy(&ksp);
+    });
+    SCOPED_TRACE(::testing::Message()
+                 << (k.pc == PKSP_PC_NONE ? "pc none" : "ilu0") << " p="
+                 << k.ranks << " restart=" << k.restart << " rtol=" << k.rtol);
+    EXPECT_GT(its, 0);
+    EXPECT_LE(its, k.mgsIterations + k.mgsIterations / 50);
+    EXPECT_LE(relResidual, 10.0 * k.rtol);
+  }
+}
+
+/// Allreduce spans completed since the last obs::reset, summed over ranks.
+long long allreduceSpans() {
+  const lisi::obs::Report r = lisi::obs::collect();
+  long long n = 0;
+  for (const lisi::obs::SpanStat& s : r.spans) {
+    if (s.name == "coll.allreduce.tree" || s.name == "coll.allreduce.star") {
+      n += static_cast<long long>(s.count);
+    }
+  }
+  return n;
+}
+
+TEST(PkspGmres, TwoReductionsPerArnoldiStep) {
+  if (!lisi::obs::enabled()) GTEST_SKIP() << "built without LISI_OBS=ON";
+  constexpr int kRanks = 4;
+  constexpr int kRestart = 30;
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 48;
+  const auto run = [&](bool solve, int* its) {
+    World::run(kRanks, [&](Comm& c) {
+      const auto local = lisi::mesh::assembleLocal(spec, c.rank(), c.size());
+      DistCsrMatrix a(c, local.globalN, local.globalN, local.startRow,
+                      local.localA);
+      KSP ksp = nullptr;
+      ASSERT_EQ(KSPCreate(c, &ksp), PKSP_SUCCESS);
+      KSPSetOperator(ksp, &a);
+      KSPSetType(ksp, PKSP_GMRES);
+      KSPSetPCType(ksp, PKSP_PC_ILU0);
+      KSPSetRestart(ksp, kRestart);
+      KSPSetTolerances(ksp, 1e-10, 0.0, 10000);
+      if (solve) {
+        std::vector<double> x(local.localB.size());
+        EXPECT_EQ(KSPSolve(ksp, std::span<const double>(local.localB),
+                           std::span<double>(x)),
+                  PKSP_SUCCESS);
+        if (c.rank() == 0) KSPGetIterationNumber(ksp, its);
+      }
+      KSPDestroy(&ksp);
+    });
+  };
+  // Matrix build and KSP configuration alone: not the solve's reductions.
+  lisi::obs::reset();
+  run(false, nullptr);
+  const long long setup = allreduceSpans();
+  lisi::obs::reset();
+  int its = 0;
+  run(true, &its);
+  const long long solve = allreduceSpans() - setup;
+  ASSERT_GT(its, kRestart);  // at least one restart
+  // Per rank: 2 per Arnoldi step (all projections, then the norm), 1 per
+  // restart cycle (||M^{-1} r||), and 1 for the fused post-solve residuals.
+  const long long cycles = (its + kRestart - 1) / kRestart;
+  EXPECT_EQ(solve, kRanks * (2LL * its + cycles + 1)) << its << " iterations";
 }
 
 TEST(PkspMulti, FallbackForUnsupportedTypeStillSolves) {

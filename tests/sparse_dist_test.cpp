@@ -368,6 +368,14 @@ TEST_P(DistP, SplitPhaseDotsBitwiseMatchBlocking) {
   for (auto& v : x) v = rng.uniform(-2, 2);
   for (auto& v : y) v = rng.uniform(-2, 2);
   for (auto& v : z) v = rng.uniform(-2, 2);
+  constexpr int kMaxLanes = 19;  // 8+8+2+1: every sweep width of the kernel
+  std::vector<std::vector<double>> pool(kMaxLanes,
+                                        std::vector<double>(x.size()));
+  for (auto& vec : pool) {
+    for (auto& v : vec) v = rng.uniform(-2, 2);
+  }
+  std::vector<double> h(kMaxLanes);
+  for (auto& v : h) v = rng.uniform(-1, 1);
   comm::World::run(p, [&](comm::Comm& c) {
     const BlockRowPartition part(n, p);
     const int s = part.startRow(c.rank());
@@ -375,6 +383,10 @@ TEST_P(DistP, SplitPhaseDotsBitwiseMatchBlocking) {
     std::span<const double> xL(x.data() + s, static_cast<std::size_t>(m));
     std::span<const double> yL(y.data() + s, static_cast<std::size_t>(m));
     std::span<const double> zL(z.data() + s, static_cast<std::size_t>(m));
+    std::vector<std::span<const double>> poolL;
+    for (const auto& vec : pool) {
+      poolL.emplace_back(vec.data() + s, static_cast<std::size_t>(m));
+    }
     // Single lane: identical bits to the blocking distDot.
     const double blockingDot = distDot(c, xL, yL);
     PendingDots p1 = distDotBegin(c, xL, yL);
@@ -396,6 +408,43 @@ TEST_P(DistP, SplitPhaseDotsBitwiseMatchBlocking) {
     EXPECT_EQ(r3[0], distDot(c, xL, xL));
     EXPECT_EQ(r3[1], distDot(c, xL, zL));
     EXPECT_EQ(r3[2], distDot(c, yL, zL));
+    // Grouped local sums, 1..19 lanes: lanes that all share x (Gram-Schmidt
+    // projections) and lanes whose x changes every few lanes.  Each lane
+    // must still be bitwise its own distDot.
+    for (int lanesN = 1; lanesN <= kMaxLanes; ++lanesN) {
+      for (const bool shared : {true, false}) {
+        std::vector<DotArgs> batch;
+        for (int l = 0; l < lanesN; ++l) {
+          const std::span<const double> xl =
+              shared || l % 3 == 0 ? xL : poolL[static_cast<std::size_t>(
+                                              (l + 7) % kMaxLanes)];
+          batch.push_back({xl, poolL[static_cast<std::size_t>(l)]});
+        }
+        PendingDots pb = distDotsBegin(c, batch);
+        const auto rb = distDotsEnd(pb);
+        ASSERT_EQ(rb.size(), batch.size());
+        for (std::size_t l = 0; l < batch.size(); ++l) {
+          EXPECT_EQ(rb[l], distDot(c, batch[l].x, batch[l].y))
+              << lanesN << " lanes, shared x " << shared << ", lane " << l;
+        }
+      }
+    }
+    // The fused subtraction w -= sum_i h_i v_i equals sequential axpys.
+    std::vector<const double*> basis;
+    for (const auto& v : poolL) basis.push_back(v.data());
+    for (std::size_t k = 1; k <= basis.size(); ++k) {
+      std::vector<double> fused(xL.begin(), xL.end());
+      std::vector<double> seq(xL.begin(), xL.end());
+      subtractCombination(std::span<double>(fused),
+                          std::span<const double* const>(basis).first(k),
+                          std::span<const double>(h).first(k));
+      for (std::size_t i = 0; i < k; ++i) {
+        axpy(-h[i], poolL[i], std::span<double>(seq));
+      }
+      for (std::size_t i = 0; i < seq.size(); ++i) {
+        ASSERT_EQ(fused[i], seq[i]) << k << " vectors, entry " << i;
+      }
+    }
   });
 }
 
