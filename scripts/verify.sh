@@ -22,8 +22,11 @@
 #              catch — plus the plugin suite, so dlopen-loaded backends and
 #              the host callback bridge run under the allocator checks, and
 #              the comm, pksp and aztec suites, whose Gram-Schmidt kernels
-#              walk raw pointers over the Krylov basis.  UBSAN_OPTIONS makes
-#              any UBSan report fatal, so a finding fails the stage;
+#              walk raw pointers over the Krylov basis, and the ILU(0)
+#              sweep and precision suites, whose level-scheduled sweeps
+#              index through permuted row lists in float64 and float32.
+#              UBSAN_OPTIONS makes any UBSan report fatal, so a finding
+#              fails the stage;
 #   4b. plugin: compile the reference plugin OUT-OF-TREE — a scratch dir
 #              holding nothing but a copy of src/abi/lisi_abi.h, a plain C99
 #              compiler, -Werror — proving the ABI header is genuinely
@@ -154,13 +157,18 @@ cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
 # forwarding, and the keep-alive registry all run under ASan+UBSan.
 # comm, pksp and aztec run here because the Gram-Schmidt step and its
 # grouped dot / fused subtraction kernels walk raw pointers over the Krylov
-# basis.  UBSan only prints by default; halt_on_error turns a report into a
-# failing exit status.
+# basis.  sparse_ilu0_test and precision_test run the shared ILU(0) sweeps,
+# which index z through the level-ordered row lists, in float64 and (via
+# the mixed-precision backends) float32.  UBSan only prints by default;
+# halt_on_error turns a report into a failing exit status.
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DLISI_SANITIZE=address+undefined
 cmake --build build-asan -j --target sparse_dist_test slu_test \
-  lisi_reuse_test plugin_test comm_test pksp_test aztec_test
+  lisi_reuse_test plugin_test comm_test pksp_test aztec_test \
+  sparse_ilu0_test precision_test
 ./build-asan/tests/sparse_dist_test
+./build-asan/tests/sparse_ilu0_test
+./build-asan/tests/precision_test
 ./build-asan/tests/slu_test
 ./build-asan/tests/lisi_reuse_test
 ./build-asan/tests/plugin_test

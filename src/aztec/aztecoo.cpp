@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "sparse/dist_csr.hpp"
+#include "sparse/ilu0.hpp"
 
 namespace aztec {
 namespace {
@@ -61,135 +62,14 @@ PcApply makeNeumann(const RowMatrix& a, int order) {
   };
 }
 
-/// Local-block ILU(0) (domain decomposition with one subdomain per rank).
-/// Implemented independently of PKSP's ILU: packages are self-contained.
-class LocalIlu {
- public:
-  explicit LocalIlu(const lisi::sparse::DistCsrMatrix& a) {
-    // Extract the local diagonal block with local indices.
-    const CsrMatrix& loc = a.localBlock();
-    const int start = a.startRow();
-    const int end = start + a.localRows();
-    lu_.rows = a.localRows();
-    lu_.cols = a.localRows();
-    lu_.rowPtr.assign(static_cast<std::size_t>(lu_.rows) + 1, 0);
-    for (int i = 0; i < loc.rows; ++i) {
-      for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-           k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const int c = loc.colIdx[static_cast<std::size_t>(k)];
-        if (c >= start && c < end) {
-          lu_.colIdx.push_back(c - start);
-          lu_.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-        }
-      }
-      lu_.rowPtr[static_cast<std::size_t>(i) + 1] =
-          static_cast<int>(lu_.values.size());
-    }
-    lu_.canonicalize();
-    diagPos_.assign(static_cast<std::size_t>(lu_.rows), -1);
-    for (int i = 0; i < lu_.rows; ++i) {
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        if (lu_.colIdx[static_cast<std::size_t>(k)] == i) {
-          diagPos_[static_cast<std::size_t>(i)] = k;
-        }
-      }
-      LISI_CHECK(diagPos_[static_cast<std::size_t>(i)] >= 0,
-                 "AZ_dom_decomp ILU: structurally zero diagonal");
-    }
-    factor();
-  }
-
-  void solve(std::span<const double> r, std::span<double> z) const {
-    const int n = lu_.rows;
-    for (int i = 0; i < n; ++i) {
-      double acc = r[static_cast<std::size_t>(i)];
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < diagPos_[static_cast<std::size_t>(i)]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      z[static_cast<std::size_t>(i)] = acc;
-    }
-    for (int i = n - 1; i >= 0; --i) {
-      double acc = z[static_cast<std::size_t>(i)];
-      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1;
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      z[static_cast<std::size_t>(i)] =
-          acc / lu_.values[static_cast<std::size_t>(
-                    diagPos_[static_cast<std::size_t>(i)])];
-    }
-  }
-
- private:
-  void factor() {
-    const int n = lu_.rows;
-    std::vector<int> pos(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      const int rb = lu_.rowPtr[static_cast<std::size_t>(i)];
-      const int re = lu_.rowPtr[static_cast<std::size_t>(i) + 1];
-      for (int k = rb; k < re; ++k) {
-        pos[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])] = k;
-      }
-      for (int k = rb; k < re; ++k) {
-        const int j = lu_.colIdx[static_cast<std::size_t>(k)];
-        if (j >= i) break;
-        const double piv = lu_.values[static_cast<std::size_t>(
-            diagPos_[static_cast<std::size_t>(j)])];
-        LISI_CHECK(piv != 0.0, "AZ_dom_decomp ILU: zero pivot");
-        const double lij = lu_.values[static_cast<std::size_t>(k)] / piv;
-        lu_.values[static_cast<std::size_t>(k)] = lij;
-        for (int kk = diagPos_[static_cast<std::size_t>(j)] + 1;
-             kk < lu_.rowPtr[static_cast<std::size_t>(j) + 1]; ++kk) {
-          const int p = pos[static_cast<std::size_t>(
-              lu_.colIdx[static_cast<std::size_t>(kk)])];
-          if (p >= 0) {
-            lu_.values[static_cast<std::size_t>(p)] -=
-                lij * lu_.values[static_cast<std::size_t>(kk)];
-          }
-        }
-      }
-      for (int k = rb; k < re; ++k) {
-        pos[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])] = -1;
-      }
-      LISI_CHECK(lu_.values[static_cast<std::size_t>(
-                     diagPos_[static_cast<std::size_t>(i)])] != 0.0,
-                 "AZ_dom_decomp ILU: zero pivot");
-    }
-  }
-
-  CsrMatrix lu_;
-  std::vector<int> diagPos_;
-};
-
 /// Symmetric Gauss-Seidel on the local diagonal block:
 ///   M = (D + L) D^{-1} (D + U)   (exact for the local block, Jacobi-like
 ///   across rank boundaries).  Preserves symmetry for SPD matrices, so it
 ///   is safe under CG — unlike plain (one-sided) Gauss-Seidel.
 class LocalSgs {
  public:
-  explicit LocalSgs(const lisi::sparse::DistCsrMatrix& a) {
-    const CsrMatrix& loc = a.localBlock();
-    const int start = a.startRow();
-    const int end = start + a.localRows();
-    blk_.rows = a.localRows();
-    blk_.cols = a.localRows();
-    blk_.rowPtr.assign(static_cast<std::size_t>(blk_.rows) + 1, 0);
-    for (int i = 0; i < loc.rows; ++i) {
-      for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-           k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const int c = loc.colIdx[static_cast<std::size_t>(k)];
-        if (c >= start && c < end) {
-          blk_.colIdx.push_back(c - start);
-          blk_.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-        }
-      }
-      blk_.rowPtr[static_cast<std::size_t>(i) + 1] =
-          static_cast<int>(blk_.values.size());
-    }
+  explicit LocalSgs(const lisi::sparse::DistCsrMatrix& a)
+      : blk_(lisi::sparse::localDiagonalBlock(a)) {
     blk_.canonicalize();
     diagPos_.assign(static_cast<std::size_t>(blk_.rows), -1);
     for (int i = 0; i < blk_.rows; ++i) {
@@ -259,9 +139,9 @@ PcApply makeDomDecompIlu(const RowMatrix& a) {
   const lisi::sparse::DistCsrMatrix* dist = a.assembled();
   LISI_CHECK(dist != nullptr,
              "AZ_dom_decomp requires an assembled matrix (CrsMatrix)");
-  auto ilu = std::make_shared<LocalIlu>(*dist);
+  auto ilu = std::make_shared<const lisi::sparse::Ilu0Factor>(*dist);
   return [ilu](const Vector& r, Vector& z) {
-    ilu->solve(r.localView(), z.localView());
+    ilu->apply(r.localView(), z.localView());
   };
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "pksp/pksp_internal.hpp"
+#include "sparse/ilu0.hpp"
 #include "support/prec.hpp"
 
 namespace pksp::detail {
@@ -11,31 +12,7 @@ namespace {
 
 using lisi::sparse::CsrMatrix;
 using lisi::sparse::DistCsrMatrix;
-
-/// Extract the process-local diagonal block (rows owned by this rank,
-/// columns restricted to the owned range) with 0-based local indices.
-CsrMatrix localDiagonalBlock(const DistCsrMatrix& a) {
-  const CsrMatrix& loc = a.localBlock();
-  const int start = a.startRow();
-  const int end = start + a.localRows();
-  CsrMatrix blk;
-  blk.rows = a.localRows();
-  blk.cols = a.localRows();
-  blk.rowPtr.assign(static_cast<std::size_t>(blk.rows) + 1, 0);
-  for (int i = 0; i < loc.rows; ++i) {
-    for (int k = loc.rowPtr[static_cast<std::size_t>(i)];
-         k < loc.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int c = loc.colIdx[static_cast<std::size_t>(k)];
-      if (c >= start && c < end) {
-        blk.colIdx.push_back(c - start);
-        blk.values.push_back(loc.values[static_cast<std::size_t>(k)]);
-      }
-    }
-    blk.rowPtr[static_cast<std::size_t>(i) + 1] =
-        static_cast<int>(blk.values.size());
-  }
-  return blk;
-}
+using lisi::sparse::localDiagonalBlock;
 
 class JacobiPc final : public Preconditioner {
  public:
@@ -196,166 +173,43 @@ class LocalSorPc final : public Preconditioner {
 
 /// ILU(0) of the local diagonal block: incomplete LU with zero fill,
 /// i.e. L and U inherit exactly the sparsity of the block.  apply() performs
-/// the two triangular solves.  One block per process = block-Jacobi ILU(0),
-/// PETSc's default parallel preconditioner configuration.
+/// the two level-scheduled triangular sweeps of the shared factor.  One block
+/// per process = block-Jacobi ILU(0), PETSc's default parallel
+/// preconditioner configuration.
 class LocalIlu0Pc final : public Preconditioner {
  public:
-  explicit LocalIlu0Pc(const DistCsrMatrix& a) : lu_(localDiagonalBlock(a)) {
-    lu_.canonicalize();
-    const int n = lu_.rows;
-    diagPos_.assign(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        if (lu_.colIdx[static_cast<std::size_t>(k)] == i) {
-          diagPos_[static_cast<std::size_t>(i)] = k;
-        }
-      }
-      LISI_CHECK(diagPos_[static_cast<std::size_t>(i)] >= 0,
-                 "ILU(0): structurally zero diagonal");
-    }
-    factor();
-  }
+  explicit LocalIlu0Pc(const DistCsrMatrix& a) : ilu_(a) {}
 
   [[nodiscard]] bool refresh(const DistCsrMatrix& a) override {
-    // Rewrite the factor storage with the fresh values over the fixed
-    // ILU(0) pattern (zero fill: the factors live exactly on the block's
-    // sparsity) and redo the numeric elimination.  diagPos_ stays valid.
-    CsrMatrix blk = localDiagonalBlock(a);
-    blk.canonicalize();
-    if (blk.rowPtr != lu_.rowPtr || blk.colIdx != lu_.colIdx) return false;
-    lu_.values = std::move(blk.values);
-    factor();
-    return true;
+    return ilu_.refresh(a);
   }
 
   void setLowPrecision(bool enable) override {
     low_ = enable;
-    if (enable) {
-      mirrorToFloat();
-    } else {
-      luValsF_.clear();
-      zF_.clear();
-    }
+    ilu_.setFloatMirror(enable);
+    zF_.assign(enable ? static_cast<std::size_t>(ilu_.rows()) : 0, 0.0f);
   }
 
+  /// The float32 path (see LocalSorPc::applyLow for the precision
+  /// rationale) casts r on read, sweeps in place over the float32 factor
+  /// copy and casts the result on write.
   void apply(std::span<const double> r, std::span<double> z) const override {
-    if (low_) {
-      applyLow(r, z);
+    if (!low_) {
+      ilu_.apply(r, z);
+      lisi::prec::noteBytesHigh(8LL * ilu_.nnz());
       return;
     }
-    const int n = lu_.rows;
-    // Forward solve L y = r (unit lower triangular).
-    for (int i = 0; i < n; ++i) {
-      double acc = r[static_cast<std::size_t>(i)];
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < diagPos_[static_cast<std::size_t>(i)]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      z[static_cast<std::size_t>(i)] = acc;
-    }
-    // Backward solve U z = y.
-    for (int i = n - 1; i >= 0; --i) {
-      double acc = z[static_cast<std::size_t>(i)];
-      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1;
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc -= lu_.values[static_cast<std::size_t>(k)] *
-               z[static_cast<std::size_t>(lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      z[static_cast<std::size_t>(i)] =
-          acc / lu_.values[static_cast<std::size_t>(
-                    diagPos_[static_cast<std::size_t>(i)])];
-    }
-    lisi::prec::noteBytesHigh(8LL * static_cast<long long>(lu_.values.size()));
+    std::copy(r.begin(), r.end(), zF_.begin());
+    ilu_.apply(std::span<const float>(zF_), std::span<float>(zF_));
+    std::copy(zF_.begin(), zF_.end(), z.begin());
+    lisi::prec::noteLowApply();
+    lisi::prec::noteBytesLow(4LL * ilu_.nnz());
   }
 
  private:
-  void factor() {
-    // IKJ-variant ILU(0) (Saad, Alg. 10.4) restricted to existing pattern.
-    const int n = lu_.rows;
-    std::vector<int> posInRow(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      const int rb = lu_.rowPtr[static_cast<std::size_t>(i)];
-      const int re = lu_.rowPtr[static_cast<std::size_t>(i) + 1];
-      for (int k = rb; k < re; ++k) {
-        posInRow[static_cast<std::size_t>(
-            lu_.colIdx[static_cast<std::size_t>(k)])] = k;
-      }
-      for (int k = rb; k < re; ++k) {
-        const int j = lu_.colIdx[static_cast<std::size_t>(k)];
-        if (j >= i) break;  // only strictly-lower entries eliminate
-        const double pivot =
-            lu_.values[static_cast<std::size_t>(
-                diagPos_[static_cast<std::size_t>(j)])];
-        LISI_CHECK(pivot != 0.0, "ILU(0): zero pivot during factorization");
-        const double lij = lu_.values[static_cast<std::size_t>(k)] / pivot;
-        lu_.values[static_cast<std::size_t>(k)] = lij;
-        for (int kk = diagPos_[static_cast<std::size_t>(j)] + 1;
-             kk < lu_.rowPtr[static_cast<std::size_t>(j) + 1]; ++kk) {
-          const int col = lu_.colIdx[static_cast<std::size_t>(kk)];
-          const int pos = posInRow[static_cast<std::size_t>(col)];
-          if (pos >= 0) {
-            lu_.values[static_cast<std::size_t>(pos)] -=
-                lij * lu_.values[static_cast<std::size_t>(kk)];
-          }
-        }
-      }
-      for (int k = rb; k < re; ++k) {
-        posInRow[static_cast<std::size_t>(
-            lu_.colIdx[static_cast<std::size_t>(k)])] = -1;
-      }
-      LISI_CHECK(
-          lu_.values[static_cast<std::size_t>(
-              diagPos_[static_cast<std::size_t>(i)])] != 0.0,
-          "ILU(0): zero pivot");
-    }
-    if (low_) mirrorToFloat();
-  }
-
-  void mirrorToFloat() {
-    luValsF_.assign(lu_.values.begin(), lu_.values.end());
-    zF_.resize(static_cast<std::size_t>(lu_.rows));
-  }
-
-  /// Float32 triangular solves over the float32 factor mirror; see
-  /// LocalSorPc::applyLow for the precision rationale.
-  void applyLow(std::span<const double> r, std::span<double> z) const {
-    const int n = lu_.rows;
-    for (int i = 0; i < n; ++i) {
-      float acc = static_cast<float>(r[static_cast<std::size_t>(i)]);
-      for (int k = lu_.rowPtr[static_cast<std::size_t>(i)];
-           k < diagPos_[static_cast<std::size_t>(i)]; ++k) {
-        acc -= luValsF_[static_cast<std::size_t>(k)] *
-               zF_[static_cast<std::size_t>(
-                   lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      zF_[static_cast<std::size_t>(i)] = acc;
-    }
-    for (int i = n - 1; i >= 0; --i) {
-      float acc = zF_[static_cast<std::size_t>(i)];
-      for (int k = diagPos_[static_cast<std::size_t>(i)] + 1;
-           k < lu_.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
-        acc -= luValsF_[static_cast<std::size_t>(k)] *
-               zF_[static_cast<std::size_t>(
-                   lu_.colIdx[static_cast<std::size_t>(k)])];
-      }
-      zF_[static_cast<std::size_t>(i)] =
-          acc / luValsF_[static_cast<std::size_t>(
-                    diagPos_[static_cast<std::size_t>(i)])];
-    }
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      z[i] = static_cast<double>(zF_[i]);
-    }
-    lisi::prec::noteLowApply();
-    lisi::prec::noteBytesLow(4LL * static_cast<long long>(luValsF_.size()));
-  }
-
-  CsrMatrix lu_;
-  std::vector<int> diagPos_;
+  lisi::sparse::Ilu0Factor ilu_;
   bool low_ = false;
-  std::vector<float> luValsF_;
-  mutable std::vector<float> zF_;
+  mutable std::vector<float> zF_;  ///< float32 work vector, mixed mode only
 };
 
 }  // namespace

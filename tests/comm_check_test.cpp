@@ -251,13 +251,22 @@ TEST(CommCheck, InFlightBufferAliasingDiagnosed) {
       std::array<double, 2> out{};
       // Rank 0 hands both operations the same output word; the others keep
       // the streams lockstep with disjoint buffers and wait out the abort.
+      // They first wait in a recv until rank 0 has started both operations,
+      // so the first cannot complete before the second starts: it is in
+      // flight when the aliasing output arrives.  The checker's abort wakes
+      // them; the release send only runs if nothing is diagnosed.
+      constexpr int kHoldTag = 11;
       const std::size_t second = c.rank() == 0 ? 0 : 1;
+      if (c.rank() != 0) (void)c.recvValue<int>(0, kHoldTag);
       CollHandle h1 = c.iallreduce(std::span<const double>(&in1, 1),
                                    std::span<double>(&out[0], 1),
                                    comm::ReduceOp::kSum);
       CollHandle h2 = c.iallreduce(std::span<const double>(&in2, 1),
                                    std::span<double>(&out[second], 1),
                                    comm::ReduceOp::kSum);
+      if (c.rank() == 0) {
+        for (int r = 1; r < c.size(); ++r) c.sendValue(1, r, kHoldTag);
+      }
       h1.wait();
       h2.wait();
     });
