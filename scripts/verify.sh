@@ -11,10 +11,11 @@
 #              silent on correct code, and the comm_check_test seeded
 #              violations must each die with their diagnostic;
 #   3. TSan:   rebuild with -DLISI_SANITIZE=thread and run the comm, dist,
-#              and pksp binaries — MiniMPI is thread-backed, so this proves
-#              the overlapped halo exchange, the blocking and nonblocking
-#              (split-phase) collective schedules, and the pipelined Krylov
-#              loops race-free;
+#              pksp and aztec binaries — MiniMPI is thread-backed, so this
+#              proves the overlapped halo exchange, the blocking and
+#              nonblocking (split-phase) collective schedules, the pipelined
+#              Krylov loops and the GMRES loops (one fused reduction per
+#              Arnoldi step, the column closed one step late) race-free;
 #   4. ASan+UBSan: rebuild with -DLISI_SANITIZE=address+undefined and run
 #              the sparse, slu, and operator-reuse binaries — the value-only
 #              update paths write positionally into frozen factor / halo-plan
@@ -137,10 +138,11 @@ cmake --build build-check -j
 # alike, so a Clang-only construct can never sneak into it.
 cmake -B build-tsan -S . -DLISI_SANITIZE=thread
 cmake --build build-tsan -j --target comm_test sparse_dist_test pksp_test \
-  service_test lisi_lint
+  aztec_test service_test lisi_lint
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/sparse_dist_test
-./build-tsan/tests/pksp_test --gtest_filter='*Pipelined*:*Pipeline*'
+./build-tsan/tests/pksp_test --gtest_filter='*Pipelined*:*Pipeline*:*Gmres*'
+./build-tsan/tests/aztec_test --gtest_filter='*Gmres*'
 
 # ---- 5b. service under TSan --------------------------------------------
 # The service layer is the one place where *client* threads race the rank

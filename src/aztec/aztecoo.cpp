@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 
 #include "sparse/dist_csr.hpp"
 #include "sparse/ilu0.hpp"
@@ -15,9 +16,6 @@ namespace {
 using lisi::sparse::CsrMatrix;
 
 bool isBad(double v) { return std::isnan(v) || std::isinf(v); }
-
-/// Preconditioner application z = M^{-1} r as a callable.
-using PcApply = std::function<void(const Vector& r, Vector& z)>;
 
 /// k-step Jacobi: z_0 = D^{-1} r;  z_{j+1} = z_j + D^{-1}(r - A z_j).
 PcApply makeKStepJacobi(const RowMatrix& a, int steps) {
@@ -163,6 +161,21 @@ PcApply makePreconditioner(const RowMatrix& a, int precond, int polyOrd) {
   }
 }
 
+/// The preconditioner for `a`: a CrsMatrix keeps the one it last built
+/// under the same options; other operators build afresh on every call.
+PcApply preconditionerFor(const RowMatrix& a, int precond, int polyOrd) {
+  const auto* crs = dynamic_cast<const CrsMatrix*>(&a);
+  if (crs == nullptr) return makePreconditioner(a, precond, polyOrd);
+  CrsMatrix::PcCache& cache = crs->preconditionerCache();
+  if (!cache.apply || cache.precond != precond || cache.polyOrd != polyOrd) {
+    cache.apply = makePreconditioner(a, precond, polyOrd);
+    cache.precond = precond;
+    cache.polyOrd = polyOrd;
+    ++cache.builds;
+  }
+  return cache.apply;
+}
+
 struct IterationResult {
   int its = 0;
   int why = AZ_breakdown;
@@ -221,6 +234,8 @@ IterationResult runCg(const RowMatrix& a, const PcApply& pc, const Vector& b,
 }
 
 /// Right-preconditioned restarted GMRES (tracked residual = true residual).
+/// Orthogonalizes through the shared one-reduction Arnoldi step with
+/// delayed normalization (DESIGN.md §6).
 IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
                          const Vector& b, Vector& x, int maxIter,
                          double threshold, int kspace) {
@@ -228,21 +243,21 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
   const int m = std::max(1, kspace);
   const auto mu = static_cast<std::size_t>(m);
   IterationResult res;
-  Vector r(map), w(map), mz(map);
+  Vector w(map), mz(map);
+  // v[j] holds the unnormalized v~_j until step j normalizes it in place.
   std::vector<Vector> v;
   v.reserve(mu + 1);
   for (std::size_t i = 0; i <= mu; ++i) v.emplace_back(map);
-  std::vector<const double*> vp(mu + 1);
-  // h[j] is Hessenberg column j (rows 0..j+1).
-  std::vector<std::vector<double>> h(mu, std::vector<double>(mu + 1, 0.0));
-  std::vector<double> cs(mu, 0.0);
-  std::vector<double> sn(mu, 0.0);
-  std::vector<double> g(mu + 1, 0.0);
+  std::vector<double*> vp(mu + 1);
+  for (std::size_t i = 0; i <= mu; ++i) vp[i] = v[i].localView().data();
+  const std::size_t n = v[0].localView().size();
+  lisi::sparse::GmresLeastSquares lsq(mu);
+  lisi::sparse::ArnoldiWorkspace ws(1, mu + 1);
 
   while (true) {
-    a.apply(x, r);
-    r.update(1.0, b, -1.0);
-    double beta = r.norm2();
+    a.apply(x, v[0]);
+    v[0].update(1.0, b, -1.0);  // v~_0 = b - A x
+    const double beta = v[0].norm2();
     res.resid = beta;
     if (isBad(beta)) {
       res.why = AZ_breakdown;
@@ -252,84 +267,56 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       res.why = AZ_normal;
       return res;
     }
-    v[0] = r;
-    v[0].update(0.0, r, 1.0 / beta);
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
+    lsq.reset(beta);
 
-    int j = 0;
-    bool converged = false;
-    for (; j < m && res.its < maxIter; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
+    // Step j opens column j and closes column j-1 with the same reduction;
+    // a cycle ending by restart or maxIter closes its last column alone.
+    std::size_t cols = 0;
+    for (std::size_t j = 0;; ++j) {
+      const bool steps = j < mu && res.its < maxIter;
+      if (!steps && j == 0) break;
+      lisi::sparse::ArnoldiLane lane;
+      lane.n = n;
+      lane.basis = std::span<double* const>(vp).first(steps ? j + 2 : j + 1);
+      if (steps) {
+        pc(v[j], mz);       // mz = M^{-1} v~_j
+        a.apply(mz, w);     // w = A M^{-1} v~_j
+        lane.w = w.localView();
+        lane.h = lsq.column(j);
+      }
+      lisi::sparse::arnoldiProject(
+          map.comm(), std::span<lisi::sparse::ArnoldiLane>(&lane, 1), ws);
+      if (j > 0) {
+        const std::optional<double> resid =
+            isBad(lane.nu) ? std::nullopt : lsq.close(j - 1, lane.nu);
+        if (!resid) {
+          res.why = AZ_breakdown;
+          return res;
+        }
+        res.resid = *resid;
+        cols = j;
+        if (res.resid <= threshold || lane.nu <= 1e-300) break;
+      }
+      if (!steps) break;
+      lisi::sparse::arnoldiExpand(lane);
       ++res.its;
-      pc(v[ju], mz);       // mz = M^{-1} v_j
-      a.apply(mz, w);      // w = A M^{-1} v_j
-      // Basis pointers are taken per step: the copy-assignments into v
-      // below do not promise to keep the storage in place.
-      for (std::size_t i = 0; i <= ju; ++i) vp[i] = v[i].localView().data();
-      std::vector<double>& hj = h[ju];
-      const lisi::sparse::CgsLane lane{
-          w.localView(), std::span<const double* const>(vp).first(ju + 1),
-          std::span<double>(hj).first(ju + 2)};
-      lisi::sparse::cgsOrthogonalize(
-          map.comm(), std::span<const lisi::sparse::CgsLane>(&lane, 1));
-      const double hnext = hj[ju + 1];
-      if (isBad(hnext)) {
-        res.why = AZ_breakdown;
-        return res;
-      }
-      const bool lucky = hnext <= 1e-300;
-      if (!lucky) {
-        v[ju + 1] = w;
-        v[ju + 1].update(0.0, w, 1.0 / hnext);
-      }
-      for (std::size_t i = 0; i < ju; ++i) {
-        const double t = cs[i] * hj[i] + sn[i] * hj[i + 1];
-        hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
-        hj[i] = t;
-      }
-      const double hjj = hj[ju];
-      const double denom = std::sqrt(hjj * hjj + hnext * hnext);
-      if (denom == 0.0) {
-        res.why = AZ_breakdown;
-        return res;
-      }
-      cs[ju] = hjj / denom;
-      sn[ju] = hnext / denom;
-      hj[ju] = denom;
-      g[ju + 1] = -sn[ju] * g[ju];
-      g[ju] = cs[ju] * g[ju];
-      res.resid = std::abs(g[ju + 1]);
-      if (res.resid <= threshold || lucky) {
-        ++j;
-        converged = true;
-        break;
-      }
     }
 
-    // x += M^{-1} (V y): accumulate V y first, precondition once.
-    const auto ju = static_cast<std::size_t>(j);
-    std::vector<double> y(ju, 0.0);
-    for (std::size_t i = ju; i-- > 0;) {
-      double acc = g[i];
-      for (std::size_t k = i + 1; k < ju; ++k) acc -= h[k][i] * y[k];
-      if (h[i][i] == 0.0) {
-        res.why = AZ_breakdown;
-        return res;
-      }
-      y[i] = acc / h[i][i];
-    }
+    // x += M^{-1} (V y): accumulate V y in one sweep, precondition once.
     Vector vy(map);
-    for (std::size_t i = 0; i < ju; ++i) vy.update(y[i], v[i], 1.0);
+    if (!lsq.update(cols, vp, vy.localView())) {
+      res.why = AZ_breakdown;
+      return res;
+    }
     pc(vy, mz);
     x.update(1.0, mz, 1.0);
 
-    if (converged && res.resid <= threshold) {
+    if (res.resid <= threshold) {
       // Recompute the true residual (right preconditioning keeps them
       // equal up to rounding, but report the honest number).
-      a.apply(x, r);
-      r.update(1.0, b, -1.0);
-      res.resid = r.norm2();
+      a.apply(x, w);
+      w.update(1.0, b, -1.0);
+      res.resid = w.norm2();
       res.why = AZ_normal;
       return res;
     }
@@ -337,9 +324,7 @@ IterationResult runGmres(const RowMatrix& a, const PcApply& pc,
       res.why = AZ_maxits;
       return res;
     }
-    if (converged) {  // lucky breakdown without threshold: loop restarts
-      continue;
-    }
+    // else: restart (also after a lucky breakdown short of the threshold).
   }
 }
 
@@ -501,7 +486,7 @@ int AztecOO::iterate(int maxIter, double tol) {
   lisi::obs::Span span("aztec.iterate");
 
   const PcApply pc =
-      makePreconditioner(*a_, options_[AZ_precond], options_[AZ_poly_ord]);
+      preconditionerFor(*a_, options_[AZ_precond], options_[AZ_poly_ord]);
 
   // Convergence threshold per AZ_conv.
   double scale = 1.0;
@@ -534,9 +519,9 @@ int AztecOO::iterateMulti(int maxIter, double tol) {
                        static_cast<std::uint64_t>(mx_->numVectors()));
 
   // Built once, applied by every lane — the ILU(0)/SGS factorization cost
-  // amortizes over the whole block.
+  // amortizes over the whole block (and over later solves on a CrsMatrix).
   const PcApply pc =
-      makePreconditioner(*a_, options_[AZ_precond], options_[AZ_poly_ord]);
+      preconditionerFor(*a_, options_[AZ_precond], options_[AZ_poly_ord]);
 
   // Per-lane convergence scales with ONE fused allreduce for the block.
   const auto nv = static_cast<std::size_t>(mx_->numVectors());

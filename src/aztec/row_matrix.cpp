@@ -18,6 +18,7 @@ CrsMatrix::CrsMatrix(const Map& map, lisi::sparse::CsrMatrix localRows)
 
 void CrsMatrix::replaceValues(const lisi::sparse::CsrMatrix& localRows) {
   dist_.updateValues(localRows);
+  pcCache_.apply = nullptr;
 }
 
 void CrsMatrix::apply(const Vector& x, Vector& y) const {

@@ -9,6 +9,7 @@
 // matrices use CrsMatrix below.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "aztec/vector.hpp"
@@ -39,6 +40,9 @@ class RowMatrix {
   }
 };
 
+/// Preconditioner application z = M^{-1} r as a callable.
+using PcApply = std::function<void(const Vector& r, Vector& z)>;
+
 /// Assembled sparse matrix over a Map (Epetra_CrsMatrix analogue).
 class CrsMatrix final : public RowMatrix {
  public:
@@ -68,9 +72,28 @@ class CrsMatrix final : public RowMatrix {
     return dist_.setSpmvConfig(cfg);
   }
 
+  /// The preconditioner AztecOO built for these values under
+  /// (AZ_precond, AZ_poly_ord).  Every AztecOO bound to this matrix shares
+  /// it, so an unchanged operator is factored once; replaceValues drops it,
+  /// and a copy of the matrix starts without one.
+  struct PcCache {
+    PcCache() = default;
+    PcCache(const PcCache& /*other*/) {}
+    PcCache& operator=(const PcCache& /*other*/) {
+      apply = nullptr;
+      return *this;
+    }
+    int precond = 0;
+    int polyOrd = 0;
+    PcApply apply;   ///< empty: nothing cached
+    int builds = 0;  ///< preconditioners built for this matrix so far
+  };
+  [[nodiscard]] PcCache& preconditionerCache() const { return pcCache_; }
+
  private:
   const Map* map_;
   lisi::sparse::DistCsrMatrix dist_;
+  mutable PcCache pcCache_;
 };
 
 }  // namespace aztec

@@ -25,6 +25,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "pksp/pksp_internal.hpp"
 #include "sparse/dist_csr.hpp"
@@ -33,10 +34,13 @@ namespace pksp::detail {
 namespace {
 
 using lisi::comm::Comm;
-using lisi::sparse::CgsLane;
-using lisi::sparse::cgsOrthogonalize;
+using lisi::sparse::ArnoldiLane;
+using lisi::sparse::ArnoldiWorkspace;
+using lisi::sparse::arnoldiExpand;
+using lisi::sparse::arnoldiProject;
 using lisi::sparse::DistCsrMatrix;
 using lisi::sparse::DotArgs;
+using lisi::sparse::GmresLeastSquares;
 using lisi::sparse::distDotsBegin;
 using lisi::sparse::distDotsEnd;
 using lisi::sparse::PendingDots;
@@ -223,22 +227,23 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
   std::vector<char> done(nv, 0);       // lane fully finished (any reason)
 
   Vec r(n * nv), blockIn(n * nv), w(n * nv), wz(n * nv);
-  // Per-lane Krylov basis and Hessenberg columns (identical shapes to the
+  // Per-lane Krylov basis and least-squares state (identical shapes to the
   // single-RHS runGmres so the per-lane arithmetic matches it exactly).
   std::vector<std::vector<Vec>> basis(
       nv, std::vector<Vec>(mru + 1, Vec(n)));
-  std::vector<std::vector<const double*>> basisPtr(
-      nv, std::vector<const double*>(mru + 1));
+  std::vector<std::vector<double*>> basisPtr(nv,
+                                             std::vector<double*>(mru + 1));
   for (std::size_t v = 0; v < nv; ++v) {
     for (std::size_t i = 0; i <= mru; ++i) basisPtr[v][i] = basis[v][i].data();
   }
-  std::vector<std::vector<Vec>> h(nv, std::vector<Vec>(mru, Vec(mru + 1, 0.0)));
-  std::vector<Vec> cs(nv, Vec(mru, 0.0));
-  std::vector<Vec> sn(nv, Vec(mru, 0.0));
-  std::vector<Vec> g(nv, Vec(mru + 1, 0.0));
+  std::vector<GmresLeastSquares> lsq(nv, GmresLeastSquares(mru));
 
   std::vector<DotArgs> dots;
-  std::vector<CgsLane> cgs;
+  std::vector<ArnoldiLane> step;
+  std::vector<std::size_t> stepLane;  // lane index of each step entry
+  step.reserve(nv);
+  stepLane.reserve(nv);
+  ArnoldiWorkspace ws(nv, mru + 1);
   bool first = true;
 
   while (true) {
@@ -249,40 +254,39 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
     if (running.empty()) return reps;
 
     // ---- cycle start: preconditioned residual of every running lane ----
+    // M^{-1} r lands in basis slot 0 as the unnormalized v~_0.
     aMat.spmvMulti(std::span<const double>(x), std::span<double>(r), nRhs);
     for (std::size_t i = 0; i < n * nv; ++i) r[i] = b[i] - r[i];
-    for (const std::size_t v : running) {
-      m.apply(lane(r, v, n), lane(wz, v, n));
-    }
     dots.clear();
     for (const std::size_t v : running) {
-      dots.push_back({lane(wz, v, n), lane(wz, v, n)});
+      m.apply(lane(r, v, n), std::span<double>(basis[v][0]));
+      dots.push_back({basis[v][0], basis[v][0]});
     }
     PendingDots pending = distDotsBegin(comm, dots);
     const std::span<const double> zz = distDotsEnd(pending);
-    std::vector<double> beta(nv, 0.0);
     double maxBeta = 0.0;
     for (std::size_t k = 0; k < running.size(); ++k) {
       const std::size_t v = running[k];
-      beta[v] = std::sqrt(zz[k]);
-      maxBeta = std::max(maxBeta, beta[v]);
+      const double beta = std::sqrt(zz[k]);
+      maxBeta = std::max(maxBeta, beta);
       if (first) {
-        mons[v].start(beta[v], tol);
-        reps[v].residualNorm = beta[v];
-        const PkspConvergedReason early = mons[v].test(beta[v]);
+        mons[v].start(beta, tol);
+        reps[v].residualNorm = beta;
+        const PkspConvergedReason early = mons[v].test(beta);
         if (early != PKSP_ITERATING) {
           reps[v].reason = early;
           done[v] = 1;
           continue;
         }
       }
-      if (isBad(beta[v])) {
+      if (isBad(beta)) {
         reps[v].reason = PKSP_DIVERGED_NAN;
         done[v] = 1;
-      } else if (beta[v] == 0.0) {
+      } else if (beta == 0.0) {
         reps[v].reason = PKSP_CONVERGED_ATOL;
         done[v] = 1;
       }
+      lsq[v].reset(beta);
     }
     if (first && tol.monitor) tol.monitor(0, maxBeta);
     first = false;
@@ -291,129 +295,103 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
                   running.end());
     if (running.empty()) return reps;
 
-    // Seed each running lane's cycle; lanes freeze out of the cycle as they
-    // converge, hit a lucky breakdown, or exhaust their iteration budget.
+    // Each running lane's cycle; lanes leave it as they converge, hit a
+    // lucky breakdown, or exhaust their iteration budget.  Step j opens
+    // column j of every lane that still steps; its one reduction also
+    // closes column j-1 of every lane in the cycle (DESIGN.md §6).
     std::vector<char> inCycle(nv, 0);
-    std::vector<int> jTaken(nv, 0);
+    std::vector<std::size_t> cols(nv, 0);
     std::vector<PkspConvergedReason> cycleReason(nv, PKSP_ITERATING);
-    std::vector<char> noUpdate(nv, 0);
-    for (const std::size_t v : running) {
-      inCycle[v] = 1;
-      const std::span<const double> zv = lane(wz, v, n);
-      for (std::size_t i = 0; i < n; ++i) basis[v][0][i] = zv[i] / beta[v];
-      std::fill(g[v].begin(), g[v].end(), 0.0);
-      g[v][0] = beta[v];
-    }
+    for (const std::size_t v : running) inCycle[v] = 1;
 
-    for (int j = 0; j < mr; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      std::vector<std::size_t> stepLanes;
+    for (std::size_t j = 0;; ++j) {
+      step.clear();
+      stepLane.clear();
+      std::fill(blockIn.begin(), blockIn.end(), 0.0);
       for (const std::size_t v : running) {
-        if (inCycle[v] && its[v] < tol.maxits) stepLanes.push_back(v);
+        if (!inCycle[v]) continue;
+        const bool steps = j < mru && its[v] < tol.maxits;
+        if (!steps && j == 0) {
+          inCycle[v] = 0;  // no column to open or close
+          continue;
+        }
+        ArnoldiLane ln;
+        ln.n = n;
+        ln.basis =
+            std::span<double* const>(basisPtr[v]).first(steps ? j + 2 : j + 1);
+        if (steps) {
+          ln.w = lane(wz, v, n);
+          ln.h = lsq[v].column(j);
+          std::copy(basis[v][j].begin(), basis[v][j].end(),
+                    lane(blockIn, v, n).begin());
+        }
+        step.push_back(ln);
+        stepLane.push_back(v);
       }
-      if (stepLanes.empty()) break;
+      if (step.empty()) break;
 
       // Block matvec over the j-th basis vectors; lanes not stepping
       // contribute zero columns so the exchange count stays one.
-      std::fill(blockIn.begin(), blockIn.end(), 0.0);
-      for (const std::size_t v : stepLanes) {
-        ++its[v];
-        ++jTaken[v];
-        std::copy(basis[v][ju].begin(), basis[v][ju].end(),
-                  lane(blockIn, v, n).begin());
-      }
       aMat.spmvMulti(std::span<const double>(blockIn), std::span<double>(w),
                      nRhs);
-      for (const std::size_t v : stepLanes) {
-        m.apply(lane(w, v, n), lane(wz, v, n));
+      for (std::size_t k = 0; k < step.size(); ++k) {
+        const std::size_t v = stepLane[k];
+        if (!step[k].w.empty()) m.apply(lane(w, v, n), lane(wz, v, n));
       }
-      // Classical Gram-Schmidt over every stepping lane at once: the
-      // projections of all lanes share one allreduce, the norms another.
-      cgs.clear();
-      for (const std::size_t v : stepLanes) {
-        const std::span<const double* const> vs(basisPtr[v]);
-        cgs.push_back({lane(wz, v, n), vs.first(ju + 1),
-                       std::span<double>(h[v][ju]).first(ju + 2)});
-      }
-      cgsOrthogonalize(comm, cgs);
+      arnoldiProject(comm, step, ws);
 
       int maxIts = 0;
       double maxResid = 0.0;
-      for (const std::size_t v : stepLanes) {
-        Vec& hj = h[v][ju];
-        const double hnext = hj[ju + 1];
-        if (isBad(hnext)) {
-          reps[v].reason = PKSP_DIVERGED_NAN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          inCycle[v] = 0;
-          noUpdate[v] = 1;
-          continue;
-        }
-        const bool luckyBreakdown = hnext <= 1e-300;
-        if (!luckyBreakdown) {
-          const std::span<const double> wzv = lane(wz, v, n);
-          for (std::size_t t = 0; t < n; ++t) {
-            basis[v][ju + 1][t] = wzv[t] / hnext;
+      bool closed = false;
+      for (std::size_t k = 0; k < step.size(); ++k) {
+        const ArnoldiLane& ln = step[k];
+        const std::size_t v = stepLane[k];
+        if (j > 0) {
+          const auto fail = [&](PkspConvergedReason why) {
+            reps[v].reason = why;
+            reps[v].iterations = its[v];
+            done[v] = 1;
+            inCycle[v] = 0;
+          };
+          if (isBad(ln.nu)) {
+            fail(PKSP_DIVERGED_NAN);
+            continue;
+          }
+          const std::optional<double> resid = lsq[v].close(j - 1, ln.nu);
+          if (!resid) {
+            fail(PKSP_DIVERGED_BREAKDOWN);
+            continue;
+          }
+          reps[v].residualNorm = *resid;
+          maxResid = std::max(maxResid, *resid);
+          maxIts = std::max(maxIts, its[v]);
+          closed = true;
+          cols[v] = j;
+          cycleReason[v] = mons[v].test(*resid);
+          const bool luckyBreakdown = ln.nu <= 1e-300;
+          if (cycleReason[v] != PKSP_ITERATING || luckyBreakdown) {
+            inCycle[v] = 0;  // lane's cycle ends; x update happens below
+            continue;
           }
         }
-        for (std::size_t i = 0; i < ju; ++i) {
-          const double t = cs[v][i] * hj[i] + sn[v][i] * hj[i + 1];
-          hj[i + 1] = -sn[v][i] * hj[i] + cs[v][i] * hj[i + 1];
-          hj[i] = t;
-        }
-        const double hjj = hj[ju];
-        const double denom = std::sqrt(hjj * hjj + hnext * hnext);
-        if (denom == 0.0) {
-          reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          inCycle[v] = 0;
-          noUpdate[v] = 1;
+        if (ln.w.empty()) {
+          inCycle[v] = 0;  // closed its last column: restart or maxits
           continue;
         }
-        cs[v][ju] = hjj / denom;
-        sn[v][ju] = hnext / denom;
-        hj[ju] = denom;
-        hj[ju + 1] = 0.0;
-        g[v][ju + 1] = -sn[v][ju] * g[v][ju];
-        g[v][ju] = cs[v][ju] * g[v][ju];
-
-        const double resid = std::abs(g[v][ju + 1]);
-        reps[v].residualNorm = resid;
-        maxResid = std::max(maxResid, resid);
-        maxIts = std::max(maxIts, its[v]);
-        cycleReason[v] = mons[v].test(resid);
-        if (cycleReason[v] != PKSP_ITERATING || luckyBreakdown) {
-          inCycle[v] = 0;  // lane's cycle ends; x update happens below
-        }
+        arnoldiExpand(ln);
+        ++its[v];
       }
-      if (tol.monitor && maxIts > 0) tol.monitor(maxIts, maxResid);
+      if (tol.monitor && closed) tol.monitor(maxIts, maxResid);
     }
 
     // ---- per-lane triangular solve + solution update -------------------
     for (const std::size_t v : running) {
-      if (done[v] || noUpdate[v] || jTaken[v] == 0) continue;
-      const auto jv = static_cast<std::size_t>(jTaken[v]);
-      Vec y(jv, 0.0);
-      bool broke = false;
-      for (std::size_t i = jv; i-- > 0;) {
-        double acc = g[v][i];
-        for (std::size_t k = i + 1; k < jv; ++k) acc -= h[v][k][i] * y[k];
-        const double hii = h[v][i][i];
-        if (hii == 0.0) {
-          reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
-          reps[v].iterations = its[v];
-          done[v] = 1;
-          broke = true;
-          break;
-        }
-        y[i] = acc / hii;
-      }
-      if (broke) continue;
-      std::span<double> xv = lane(x, v, n);
-      for (std::size_t i = 0; i < jv; ++i) {
-        for (std::size_t t = 0; t < n; ++t) xv[t] += y[i] * basis[v][i][t];
+      if (done[v]) continue;
+      if (!lsq[v].update(cols[v], basisPtr[v], lane(x, v, n))) {
+        reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
+        reps[v].iterations = its[v];
+        done[v] = 1;
+        continue;
       }
       reps[v].iterations = its[v];
       if (cycleReason[v] != PKSP_ITERATING) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "pksp/pksp_internal.hpp"
 #include "sparse/dist_csr.hpp"
@@ -13,11 +14,14 @@ namespace pksp::detail {
 namespace {
 
 using lisi::comm::Comm;
-using lisi::sparse::CgsLane;
-using lisi::sparse::cgsOrthogonalize;
+using lisi::sparse::ArnoldiLane;
+using lisi::sparse::ArnoldiWorkspace;
+using lisi::sparse::arnoldiExpand;
+using lisi::sparse::arnoldiProject;
 using lisi::sparse::distDot;
 using lisi::sparse::distDot2;
 using lisi::sparse::distNorm2;
+using lisi::sparse::GmresLeastSquares;
 
 using Vec = std::vector<double>;
 
@@ -121,16 +125,14 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
   const int mr = std::max(1, restart);
   const auto mru = static_cast<std::size_t>(mr);
   SolveReport rep;
-  Vec r(n), z(n), w(n), wz(n);
-  // Krylov basis (mr+1 local vectors) and Hessenberg factors; h[j] is
-  // column j (rows 0..j+1).
+  Vec r(n), w(n), wz(n);
+  // Krylov basis (mr+1 local vectors): v[j] holds the unnormalized v~_j
+  // until step j normalizes it in place (DESIGN.md §6).
   std::vector<Vec> v(mru + 1, Vec(n));
-  std::vector<const double*> vp(mru + 1);
+  std::vector<double*> vp(mru + 1);
   for (std::size_t i = 0; i <= mru; ++i) vp[i] = v[i].data();
-  std::vector<Vec> h(mru, Vec(mru + 1, 0.0));
-  Vec cs(mru, 0.0);
-  Vec sn(mru, 0.0);
-  Vec g(mru + 1, 0.0);
+  GmresLeastSquares lsq(mru);
+  ArnoldiWorkspace ws(1, mru + 1);
 
   Monitor mon;
   bool first = true;
@@ -138,8 +140,8 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
 
   while (true) {
     applyResidual(a, b, x, r);
-    m.apply(std::span<const double>(r), std::span<double>(z));
-    double beta = distNorm2(comm, std::span<const double>(z));
+    m.apply(std::span<const double>(r), std::span<double>(v[0]));
+    const double beta = distNorm2(comm, std::span<const double>(v[0]));
     if (first) {
       mon.start(beta, tol);
       first = false;
@@ -159,80 +161,54 @@ SolveReport runGmres(const Comm& comm, const LinearOperator& a,
       rep.reason = PKSP_CONVERGED_ATOL;
       return rep;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      v[0][i] = z[i] / beta;
-    }
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
+    lsq.reset(beta);
 
-    int j = 0;
+    // Step j opens column j; its reduction also yields ||v~_j||, which
+    // closes column j-1.  A cycle that ends by restart or maxits closes its
+    // last column with a reduction of its own.
+    std::size_t cols = 0;
     PkspConvergedReason innerReason = PKSP_ITERATING;
-    for (; j < mr && totalIts < tol.maxits; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
+    for (std::size_t j = 0;; ++j) {
+      const bool steps = j < mru && totalIts < tol.maxits;
+      if (!steps && j == 0) break;
+      ArnoldiLane lane;
+      lane.n = n;
+      lane.basis = std::span<double* const>(vp).first(steps ? j + 2 : j + 1);
+      if (steps) {
+        a.apply(std::span<const double>(v[j]), std::span<double>(w));
+        m.apply(std::span<const double>(w), std::span<double>(wz));
+        lane.w = wz;
+        lane.h = lsq.column(j);
+      }
+      arnoldiProject(comm, std::span<ArnoldiLane>(&lane, 1), ws);
+      if (j > 0) {
+        if (isBad(lane.nu)) {
+          rep.reason = PKSP_DIVERGED_NAN;
+          rep.iterations = totalIts;
+          return rep;
+        }
+        const std::optional<double> resid = lsq.close(j - 1, lane.nu);
+        if (!resid) {
+          rep.reason = PKSP_DIVERGED_BREAKDOWN;
+          rep.iterations = totalIts;
+          return rep;
+        }
+        if (tol.monitor) tol.monitor(totalIts, *resid);
+        rep.residualNorm = *resid;
+        cols = j;
+        innerReason = mon.test(*resid);
+        const bool luckyBreakdown = lane.nu <= 1e-300;
+        if (innerReason != PKSP_ITERATING || luckyBreakdown) break;
+      }
+      if (!steps) break;
+      arnoldiExpand(lane);
       ++totalIts;
-      a.apply(std::span<const double>(v[ju]), std::span<double>(w));
-      m.apply(std::span<const double>(w), std::span<double>(wz));
-      Vec& hj = h[ju];
-      const CgsLane lane{std::span<double>(wz),
-                         std::span<const double* const>(vp).first(ju + 1),
-                         std::span<double>(hj).first(ju + 2)};
-      cgsOrthogonalize(comm, std::span<const CgsLane>(&lane, 1));
-      const double hnext = hj[ju + 1];
-      if (isBad(hnext)) {
-        rep.reason = PKSP_DIVERGED_NAN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      const bool luckyBreakdown = hnext <= 1e-300;
-      if (!luckyBreakdown) {
-        for (std::size_t k = 0; k < n; ++k) v[ju + 1][k] = wz[k] / hnext;
-      }
-      // Apply existing Givens rotations to the new column.
-      for (std::size_t i = 0; i < ju; ++i) {
-        const double t = cs[i] * hj[i] + sn[i] * hj[i + 1];
-        hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
-        hj[i] = t;
-      }
-      // New rotation to annihilate h[j+1][j].
-      const double hjj = hj[ju];
-      const double denom = std::sqrt(hjj * hjj + hnext * hnext);
-      if (denom == 0.0) {
-        rep.reason = PKSP_DIVERGED_BREAKDOWN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      cs[ju] = hjj / denom;
-      sn[ju] = hnext / denom;
-      hj[ju] = denom;
-      hj[ju + 1] = 0.0;
-      g[ju + 1] = -sn[ju] * g[ju];
-      g[ju] = cs[ju] * g[ju];
-
-      const double resid = std::abs(g[ju + 1]);
-      if (tol.monitor) tol.monitor(totalIts, resid);
-      rep.residualNorm = resid;
-      innerReason = mon.test(resid);
-      if (innerReason != PKSP_ITERATING || luckyBreakdown) {
-        ++j;  // include this column in the update
-        break;
-      }
     }
 
-    // Solve the j-by-j triangular system and update x.
-    const auto ju = static_cast<std::size_t>(j);
-    Vec y(ju, 0.0);
-    for (std::size_t i = ju; i-- > 0;) {
-      double acc = g[i];
-      for (std::size_t k = i + 1; k < ju; ++k) acc -= h[k][i] * y[k];
-      if (h[i][i] == 0.0) {
-        rep.reason = PKSP_DIVERGED_BREAKDOWN;
-        rep.iterations = totalIts;
-        return rep;
-      }
-      y[i] = acc / h[i][i];
-    }
-    for (std::size_t i = 0; i < ju; ++i) {
-      for (std::size_t k = 0; k < n; ++k) x[k] += y[i] * v[i][k];
+    if (!lsq.update(cols, vp, x)) {
+      rep.reason = PKSP_DIVERGED_BREAKDOWN;
+      rep.iterations = totalIts;
+      return rep;
     }
     rep.iterations = totalIts;
     if (innerReason != PKSP_ITERATING) {

@@ -1003,45 +1003,105 @@ std::array<double, 2> distDot2End(PendingDots& pending) {
   return {r[0], r[1]};
 }
 
-void cgsOrthogonalize(const comm::Comm& comm, std::span<const CgsLane> lanes) {
+ArnoldiWorkspace::ArnoldiWorkspace(std::size_t lanes, std::size_t basisMax)
+    : dots_(lanes * std::max<std::size_t>(basisMax, 1)),
+      local_(dots_.size()),
+      global_(dots_.size()) {}
+
+// lisi-lint: zero-alloc-begin(Arnoldi step: workspace-owned scratch only)
+void arnoldiProject(const comm::Comm& comm, std::span<ArnoldiLane> lanes,
+                    ArnoldiWorkspace& ws) {
+  // Per lane: (stepping) <w, v_0> .. <w, v_j>, then ||v~_j||^2.  The norm
+  // goes last so the projections, which all share w, lead the sweeps.
   std::size_t total = 0;
-  for (const CgsLane& ln : lanes) {
-    LISI_CHECK(ln.h.size() == ln.basis.size() + 1,
-               "cgsOrthogonalize: h must hold basis.size()+1 entries");
-    total += ln.basis.size();
+  for (const ArnoldiLane& ln : lanes) {
+    const bool steps = !ln.w.empty();
+    LISI_CHECK(ln.basis.size() >= (steps ? 2u : 1u) &&
+                   (!steps || (ln.w.size() == ln.n &&
+                               ln.h.size() + 1 == ln.basis.size())),
+               "arnoldiProject: inconsistent lane shape");
+    total += steps ? ln.basis.size() : 1;
   }
-  // Reduction 1: every projection <w, v_i> of every lane.
-  std::vector<DotArgs> dots;
-  dots.reserve(std::max(total, lanes.size()));
-  for (const CgsLane& ln : lanes) {
-    for (const double* v : ln.basis) {
-      dots.push_back({ln.w, std::span<const double>(v, ln.w.size())});
-    }
-  }
-  std::vector<double> local(dots.size());
-  std::vector<double> global(dots.size());
-  localDots(dots, std::span<double>(local));
-  comm.allreduce(std::span<const double>(local), std::span<double>(global),
-                 comm::ReduceOp::kSum);
+  LISI_CHECK(total <= ws.dots_.size(), "arnoldiProject: workspace too small");
   std::size_t at = 0;
-  for (const CgsLane& ln : lanes) {
-    const std::size_t k = ln.basis.size();
-    std::copy_n(global.begin() + static_cast<std::ptrdiff_t>(at), k,
-                ln.h.begin());
-    subtractCombination(ln.w, ln.basis, ln.h.first(k));
-    at += k;
+  for (const ArnoldiLane& ln : lanes) {
+    const std::size_t j = ln.basis.size() - (ln.w.empty() ? 1 : 2);
+    if (!ln.w.empty()) {
+      for (std::size_t i = 0; i <= j; ++i) {
+        ws.dots_[at++] = {ln.w, std::span<const double>(ln.basis[i], ln.n)};
+      }
+    }
+    const std::span<const double> vj(ln.basis[j], ln.n);
+    ws.dots_[at++] = {vj, vj};
   }
-  // Reduction 2: ||w|| of every lane.
-  dots.clear();
-  for (const CgsLane& ln : lanes) dots.push_back({ln.w, ln.w});
-  local.resize(dots.size());
-  global.resize(dots.size());
-  localDots(dots, std::span<double>(local));
-  comm.allreduce(std::span<const double>(local), std::span<double>(global),
-                 comm::ReduceOp::kSum);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    lanes[l].h.back() = std::sqrt(global[l]);
+  const std::span<double> local = std::span<double>(ws.local_).first(total);
+  const std::span<double> global = std::span<double>(ws.global_).first(total);
+  localDots(std::span<const DotArgs>(ws.dots_).first(total), local);
+  comm.allreduce(std::span<const double>(local), global, comm::ReduceOp::kSum);
+  at = 0;
+  for (ArnoldiLane& ln : lanes) {
+    const std::size_t k = ln.w.empty() ? 0 : ln.h.size();  // projections
+    ln.nu = std::sqrt(global[at + k]);
+    if (k > 0) {
+      for (std::size_t i = 0; i + 1 < k; ++i) ln.h[i] = global[at + i] / ln.nu;
+      ln.h[k - 1] = global[at + k - 1] / ln.nu / ln.nu;
+    }
+    at += k + 1;
   }
+}
+
+void arnoldiExpand(const ArnoldiLane& lane) {
+  const std::size_t j = lane.h.size() - 1;
+  LISI_CHECK(!lane.w.empty() && lane.basis.size() == j + 2,
+             "arnoldiExpand: not a stepping lane");
+  normalizeAndSubtract(std::span<double>(lane.basis[j + 1], lane.n),
+                       lane.w, 1.0 / lane.nu, lane.basis.first(j + 1),
+                       std::span<const double>(lane.h));
+}
+// lisi-lint: zero-alloc-end
+
+GmresLeastSquares::GmresLeastSquares(std::size_t m)
+    : cs_(m, 0.0), sn_(m, 0.0), g_(m + 1, 0.0), y_(m, 0.0) {
+  r_.reserve(m);
+  for (std::size_t c = 0; c < m; ++c) r_.emplace_back(c + 1, 0.0);
+}
+
+void GmresLeastSquares::reset(double beta) {
+  std::fill(g_.begin(), g_.end(), 0.0);
+  g_[0] = beta;
+}
+
+std::optional<double> GmresLeastSquares::close(std::size_t c, double sub) {
+  std::vector<double>& h = r_[c];
+  for (std::size_t i = 0; i < c; ++i) {
+    const double t = cs_[i] * h[i] + sn_[i] * h[i + 1];
+    h[i + 1] = -sn_[i] * h[i] + cs_[i] * h[i + 1];
+    h[i] = t;
+  }
+  const double hcc = h[c];
+  const double denom = std::sqrt(hcc * hcc + sub * sub);
+  if (denom == 0.0) return std::nullopt;
+  cs_[c] = hcc / denom;
+  sn_[c] = sub / denom;
+  h[c] = denom;
+  g_[c + 1] = -sn_[c] * g_[c];
+  g_[c] = cs_[c] * g_[c];
+  return std::abs(g_[c + 1]);
+}
+
+bool GmresLeastSquares::update(std::size_t cols,
+                               std::span<double* const> basis,
+                               std::span<double> x) {
+  for (std::size_t i = cols; i-- > 0;) {
+    double acc = g_[i];
+    for (std::size_t k = i + 1; k < cols; ++k) acc -= r_[k][i] * y_[k];
+    if (r_[i][i] == 0.0) return false;
+    y_[i] = acc / r_[i][i];
+  }
+  for (std::size_t i = 0; i < cols; ++i) y_[i] = -y_[i];
+  subtractCombination(x, basis.first(cols),
+                      std::span<const double>(y_).first(cols));
+  return true;
 }
 
 }  // namespace lisi::sparse

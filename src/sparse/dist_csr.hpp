@@ -15,6 +15,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -340,23 +341,84 @@ std::span<const double> distDotsEnd(PendingDots& pending);
 /// Finish a two-lane begin.
 [[nodiscard]] std::array<double, 2> distDot2End(PendingDots& pending);
 
-// ---- Arnoldi orthogonalization ------------------------------------------
+// ---- Arnoldi step -------------------------------------------------------
 
-/// One Arnoldi lane of cgsOrthogonalize.  `w` must not overlap the basis.
-struct CgsLane {
-  std::span<double> w;                   ///< new direction, updated in place
-  std::span<const double* const> basis;  ///< v_0..v_j, w.size() entries each
-  std::span<double> h;                   ///< out: <w,v_0>..<w,v_j>, then ||w||
+/// One lane of a delayed-normalization Arnoldi step (DESIGN.md §6).  At step
+/// j, basis[0..j-1] hold the orthonormal v_0..v_{j-1} and basis[j] holds the
+/// unnormalized v~_j.  A stepping lane passes w = op(v~_j) and one more
+/// basis slot, j+1, for v~_{j+1}.  A closing lane (empty `w`, basis of j+1
+/// vectors) only measures ||v~_j||, which completes column j-1.  No vector
+/// may overlap another.
+struct ArnoldiLane {
+  std::size_t n = 0;                ///< local length of every vector
+  std::span<const double> w;        ///< op(v~_j); empty to only close
+  std::span<double* const> basis;   ///< v_0..v_j (then slot j+1 if stepping)
+  std::span<double> h;              ///< out (stepping): column j, h_0..h_j
+  double nu = 0.0;                  ///< out: ||v~_j||
 };
 
-/// Single-pass classical Gram-Schmidt for a batch of lanes, in exactly two
-/// fused allreduces whatever the lane count and basis sizes:
-///   1. h_i = <w, v_i> for every i of every lane;
-///   2. after w -= sum_i h_i v_i (subtractCombination), h_{j+1} = ||w||.
-/// Each h_i is bitwise distDot(w, v_i) and the norm bitwise distNorm2(w),
-/// so a lane's results do not depend on which other lanes share the batch.
-/// No reorthogonalization pass runs (DESIGN.md §6).  Collective: every rank
-/// passes the same lane count with the same basis sizes.
-void cgsOrthogonalize(const comm::Comm& comm, std::span<const CgsLane> lanes);
+/// Scratch of arnoldiProject, sized once per solve so a step never
+/// allocates.
+class ArnoldiWorkspace {
+ public:
+  /// Room for `lanes` lanes whose basis spans hold up to `basisMax` vectors.
+  ArnoldiWorkspace(std::size_t lanes, std::size_t basisMax);
+
+ private:
+  friend void arnoldiProject(const comm::Comm&, std::span<ArnoldiLane>,
+                             ArnoldiWorkspace&);
+  std::vector<DotArgs> dots_;
+  std::vector<double> local_;
+  std::vector<double> global_;
+};
+
+/// The reduction of an Arnoldi step: ONE fused allreduce carries, for every
+/// lane, ||v~_j||^2 and, if it steps, a_i = <w, basis[i]> for i <= j.  Then
+/// nu = sqrt(||v~_j||^2), h_i = a_i/nu for i < j and h_j = a_j/nu^2: the
+/// column of op(v_j) with v_j = v~_j/nu.  Each value is bitwise its own
+/// distDot, so a lane's results do not depend on which lanes share the
+/// batch.  Collective: every rank passes the same lane shapes.
+void arnoldiProject(const comm::Comm& comm, std::span<ArnoldiLane> lanes,
+                    ArnoldiWorkspace& ws);
+
+/// The local expansion of a stepping lane after arnoldiProject, one fused
+/// sweep (normalizeAndSubtract): v_j = v~_j*(1/nu) in place and
+/// v~_{j+1} = w*(1/nu) - sum_{i<=j} h_i v_i into basis[j+1].
+void arnoldiExpand(const ArnoldiLane& lane);
+
+/// The small dense half of GMRES(m) for one lane: the Hessenberg columns,
+/// reduced to upper triangular R by Givens rotations as they close, and
+/// the rotated right-hand side g.  Purely local.
+class GmresLeastSquares {
+ public:
+  /// Room for up to `m` columns.
+  explicit GmresLeastSquares(std::size_t m);
+
+  /// Start a cycle: g = beta*e_1.
+  void reset(double beta);
+
+  /// Column c, rows 0..c: what arnoldiProject writes as ArnoldiLane::h.
+  [[nodiscard]] std::span<double> column(std::size_t c) { return r_[c]; }
+
+  /// Close column c with its subdiagonal `sub`: apply the earlier
+  /// rotations, annihilate `sub` with a new one and return |g_{c+1}|, the
+  /// residual norm of the cycle's least-squares solution.  Returns nullopt
+  /// if the rotation is undefined (column and `sub` both zero).
+  [[nodiscard]] std::optional<double> close(std::size_t c, double sub);
+
+  /// x += sum_i y_i basis[i] for y = R^{-1} g over the first `cols`
+  /// columns, in one subtractCombination sweep with the coefficients -y_i
+  /// (bitwise the axpy loop x += y_i v_i, i = 0, 1, ...).  Returns false,
+  /// leaving x untouched, if R has a zero diagonal entry.
+  bool update(std::size_t cols, std::span<double* const> basis,
+              std::span<double> x);
+
+ private:
+  std::vector<std::vector<double>> r_;  ///< r_[c]: rows 0..c of column c
+  std::vector<double> cs_;
+  std::vector<double> sn_;
+  std::vector<double> g_;
+  std::vector<double> y_;
+};
 
 }  // namespace lisi::sparse

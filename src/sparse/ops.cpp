@@ -300,17 +300,36 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
 
 namespace {
 
-/// One sweep of subtractCombination over G basis vectors.  Two elements
-/// per iteration: their chains are independent, so the pair overlaps (and
-/// packs into one SIMD register) without changing either element's order.
-template <int G>
+/// The vector a sweep scales into its output before subtracting (the head
+/// of normalizeAndSubtract): out = w*s - hLast*(last *= s).
+struct SweepHead {
+  const double* w = nullptr;
+  double* last = nullptr;
+  double s = 0.0;
+  double hLast = 0.0;
+};
+
+/// One sweep over G basis vectors: w -= sum_l h[l]*v[l], starting from the
+/// head's value instead of w when kHead.  Two elements per iteration: their
+/// chains are independent, so the pair overlaps (and packs into one SIMD
+/// register) without changing either element's order.
+template <int G, bool kHead>
 void subtractGroup(std::span<double> w, const double* const* v,
-                   const double* h) {
+                   const double* h, const SweepHead& head) {
+  const auto start = [&](std::size_t k) {
+    if constexpr (kHead) {
+      const double u = head.last[k] * head.s;
+      head.last[k] = u;
+      return head.w[k] * head.s - head.hLast * u;
+    } else {
+      return w[k];
+    }
+  };
   const std::size_t n = w.size();
   std::size_t k = 0;
   for (; k + 2 <= n; k += 2) {
-    double t0 = w[k];
-    double t1 = w[k + 1];
+    double t0 = start(k);
+    double t1 = start(k + 1);
 #pragma GCC unroll 8
     for (int l = 0; l < G; ++l) {
       t0 -= h[l] * v[l][k];
@@ -320,7 +339,7 @@ void subtractGroup(std::span<double> w, const double* const* v,
     w[k + 1] = t1;
   }
   if (k < n) {
-    double t = w[k];
+    double t = start(k);
     for (int l = 0; l < G; ++l) t -= h[l] * v[l][k];
     w[k] = t;
   }
@@ -332,19 +351,52 @@ void subtractCombination(std::span<double> w,
                          std::span<const double* const> basis,
                          std::span<const double> h) {
   LISI_CHECK(basis.size() == h.size(), "subtractCombination: size mismatch");
+  const SweepHead none;
   const std::size_t m = basis.size();
   std::size_t l = 0;
-  for (; l + 8 <= m; l += 8) subtractGroup<8>(w, &basis[l], &h[l]);
+  for (; l + 8 <= m; l += 8) subtractGroup<8, false>(w, &basis[l], &h[l], none);
   if (l + 4 <= m) {
-    subtractGroup<4>(w, &basis[l], &h[l]);
+    subtractGroup<4, false>(w, &basis[l], &h[l], none);
     l += 4;
   }
   if (l + 2 <= m) {
-    subtractGroup<2>(w, &basis[l], &h[l]);
+    subtractGroup<2, false>(w, &basis[l], &h[l], none);
     l += 2;
   }
-  if (l < m) subtractGroup<1>(w, &basis[l], &h[l]);
+  if (l < m) subtractGroup<1, false>(w, &basis[l], &h[l], none);
 }
+
+// lisi-lint: zero-alloc-begin(Arnoldi expansion, every GMRES step)
+void normalizeAndSubtract(std::span<double> out, std::span<const double> w,
+                          double s, std::span<double* const> basis,
+                          std::span<const double> h) {
+  LISI_CHECK(!basis.empty() && basis.size() == h.size(),
+             "normalizeAndSubtract: size mismatch");
+  LISI_CHECK(out.size() == w.size(), "normalizeAndSubtract: length mismatch");
+  const std::size_t m = basis.size() - 1;
+  const SweepHead head{w.data(), basis[m], s, h[m]};
+  const double* const* v = basis.data();
+  // The head pass also takes the first group of normalized vectors.
+  std::size_t l = 0;
+  if (m >= 8) {
+    subtractGroup<8, true>(out, v, h.data(), head);
+    l = 8;
+  } else if (m >= 4) {
+    subtractGroup<4, true>(out, v, h.data(), head);
+    l = 4;
+  } else if (m >= 2) {
+    subtractGroup<2, true>(out, v, h.data(), head);
+    l = 2;
+  } else if (m == 1) {
+    subtractGroup<1, true>(out, v, h.data(), head);
+    l = 1;
+  } else {
+    subtractGroup<0, true>(out, v, h.data(), head);
+  }
+  subtractCombination(out, std::span<const double* const>(v + l, m - l),
+                      h.subspan(l, m - l));
+}
+// lisi-lint: zero-alloc-end
 
 double residualNorm(const CsrMatrix& a, std::span<const double> x,
                     std::span<const double> b) {

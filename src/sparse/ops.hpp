@@ -82,6 +82,17 @@ void subtractCombination(std::span<double> w,
                          std::span<const double* const> basis,
                          std::span<const double> h);
 
+/// The expansion of a delayed-normalization Arnoldi step (DESIGN.md §6).
+/// With m = basis.size()-1, the last basis vector is scaled in place,
+/// basis[m] *= s, and out = s*w - sum_i h[i]*basis[i] over i = 0..m using
+/// the scaled basis[m].  Per element the sweep computes w*s, subtracts the
+/// h[m] term, then the h[i] terms in index order, grouped like
+/// subtractCombination; the scaling rides on the first group's pass.  `out`
+/// and `w` must not overlap the basis.
+void normalizeAndSubtract(std::span<double> out, std::span<const double> w,
+                          double s, std::span<double* const> basis,
+                          std::span<const double> h);
+
 /// ||b - A*x||_2 (serial reference residual).
 [[nodiscard]] double residualNorm(const CsrMatrix& a, std::span<const double> x,
                                   std::span<const double> b);

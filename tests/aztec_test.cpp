@@ -380,6 +380,57 @@ TEST(AztecNonsymmetric, GmresIterationsWithinTwoPercentOfModifiedGramSchmidt) {
   });
 }
 
+TEST(AztecPreconditionerCache, BuildsOncePerOperatorAndRebuildsOnNewValues) {
+  // An unchanged CrsMatrix keeps the preconditioner its first iterate
+  // built; replaceValues drops it, and the rebuilt one solves bitwise like
+  // a fresh matrix holding the new values.
+  lisi::mesh::Pde5ptSpec spec;
+  spec.gridN = 24;
+  const auto sys = lisi::mesh::assembleGlobal(spec);
+  CsrMatrix shifted = sys.localA;  // A + 2 I (the diagonal is present)
+  for (int i = 0; i < shifted.rows; ++i) {
+    for (int k = shifted.rowPtr[static_cast<std::size_t>(i)];
+         k < shifted.rowPtr[static_cast<std::size_t>(i) + 1]; ++k) {
+      if (shifted.colIdx[static_cast<std::size_t>(k)] == i) {
+        shifted.values[static_cast<std::size_t>(k)] += 2.0;
+      }
+    }
+  }
+  for (const int precond : {AZ_Jacobi, AZ_Neumann, AZ_dom_decomp, AZ_sym_GS}) {
+    SCOPED_TRACE(::testing::Message() << "AZ_precond " << precond);
+    World::run(2, [&](Comm& c) {
+      const Map map(sys.globalN, c);
+      const Vector b(map, sliceFor(map, sys.localB));
+      const auto solve = [&](const CrsMatrix& a) {
+        Vector x(map);
+        AztecOO solver(a, x, b);
+        solver.setOption(AZ_solver, AZ_gmres).setOption(AZ_precond, precond);
+        EXPECT_EQ(solver.iterate(500, 1e-10), 0);
+        return std::vector<double>(x.localView().begin(),
+                                   x.localView().end());
+      };
+      CrsMatrix a = makeCrs(map, sys.localA);
+      EXPECT_EQ(a.preconditionerCache().builds, 0);
+      const std::vector<double> first = solve(a);
+      const std::vector<double> second = solve(a);
+      EXPECT_EQ(a.preconditionerCache().builds, 1);
+      EXPECT_EQ(second, first);
+
+      CsrMatrix local;  // this rank's rows of the shifted operator
+      {
+        const CrsMatrix tmp = makeCrs(map, shifted);
+        local = tmp.assembled()->localBlock();
+      }
+      a.replaceValues(local);
+      const std::vector<double> refreshed = solve(a);
+      EXPECT_EQ(a.preconditionerCache().builds, 2);
+      const CrsMatrix fresh = makeCrs(map, shifted);
+      EXPECT_EQ(refreshed, solve(fresh));
+      EXPECT_NE(refreshed, first);
+    });
+  }
+}
+
 TEST(AztecStatus, MaxItersReported) {
   const CsrMatrix g = lisi::sparse::laplacian2d(16, 16);
   World::run(1, [&](Comm& c) {

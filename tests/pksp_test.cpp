@@ -745,8 +745,11 @@ TEST(PkspCg, FusedDotMatchesUnfusedReferenceBitwise) {
 /// through the blocked KSPSolveMulti — and require bitwise-equal lanes.
 /// The blocked kernels share only communication (one block matvec per
 /// iteration, fused dot batches), never values, so each lane must
-/// reproduce its standalone solve exactly.
-void checkBlockedMatchesSequential(PkspType type, PkspPcType pc, int ranks) {
+/// reproduce its standalone solve exactly.  Every solve must return
+/// `expectRc` (a maxits cap that stops the lanes mid-cycle fails them all).
+void checkBlockedMatchesSequential(PkspType type, PkspPcType pc, int ranks,
+                                   int maxits = 500, int restart = 30,
+                                   int expectRc = PKSP_SUCCESS) {
   const CsrMatrix g = lisi::sparse::laplacian2d(10, 10);
   const int n = g.rows;
   const int nRhs = 3;
@@ -770,7 +773,8 @@ void checkBlockedMatchesSequential(PkspType type, PkspPcType pc, int ranks) {
       ASSERT_EQ(KSPSetOperator(*ksp, &a), PKSP_SUCCESS);
       ASSERT_EQ(KSPSetType(*ksp, type), PKSP_SUCCESS);
       ASSERT_EQ(KSPSetPCType(*ksp, pc), PKSP_SUCCESS);
-      ASSERT_EQ(KSPSetTolerances(*ksp, 1e-10, 1e-14, 500), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetTolerances(*ksp, 1e-10, 1e-14, maxits), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetRestart(*ksp, restart), PKSP_SUCCESS);
     };
 
     // Sequential reference: one standalone KSPSolve per lane.
@@ -782,7 +786,7 @@ void checkBlockedMatchesSequential(PkspType type, PkspPcType pc, int ranks) {
       std::span<double> lane(xSeq.data() + static_cast<std::size_t>(k) * m, m);
       std::span<const double> rhs(b.data() + static_cast<std::size_t>(k) * m,
                                   m);
-      ASSERT_EQ(KSPSolve(ksp, rhs, lane), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSolve(ksp, rhs, lane), expectRc);
       KSPGetIterationNumber(ksp, &itsSeq[static_cast<std::size_t>(k)]);
       KSPDestroy(&ksp);
     }
@@ -793,7 +797,7 @@ void checkBlockedMatchesSequential(PkspType type, PkspPcType pc, int ranks) {
     makeKsp(&ksp);
     ASSERT_EQ(KSPSolveMulti(ksp, std::span<const double>(b),
                             std::span<double>(xBlk), nRhs),
-              PKSP_SUCCESS);
+              expectRc);
     int itsBlk = 0;
     KSPGetIterationNumber(ksp, &itsBlk);
     KSPDestroy(&ksp);
@@ -818,10 +822,22 @@ TEST(PkspMulti, BlockedGmresMatchesSequentialBitwise) {
   }
 }
 
+TEST(PkspMulti, BlockedGmresStopsAtMaxitsLikeSequential) {
+  // maxits 10 at restart 4 ends every lane mid-cycle, after two restarts,
+  // through the closing reduction; maxits 0 runs no column at all.
+  for (const int p : {1, 3}) {
+    checkBlockedMatchesSequential(PKSP_GMRES, PKSP_PC_ILU0, p, 10, 4,
+                                  PKSP_ERR_NUMERIC);
+    checkBlockedMatchesSequential(PKSP_GMRES, PKSP_PC_ILU0, p, 0, 4,
+                                  PKSP_ERR_NUMERIC);
+  }
+}
+
 // ---- GMRES orthogonalization -------------------------------------------
 //
-// GMRES orthogonalizes with single-pass classical Gram-Schmidt.  Guard its
-// numerics against the modified Gram-Schmidt it replaced: on the 64^2
+// GMRES orthogonalizes with single-pass classical Gram-Schmidt, one
+// reduction per step with delayed normalization.  Guard its numerics
+// against the modified Gram-Schmidt it replaced: on the 64^2
 // Figure 5 operator each solve may take at most 2 % more iterations than
 // the MGS count recorded here, and must reach a true relative residual
 // within 10*rtol.
@@ -898,7 +914,7 @@ long long allreduceSpans() {
   return n;
 }
 
-TEST(PkspGmres, TwoReductionsPerArnoldiStep) {
+TEST(PkspGmres, OneReductionPerArnoldiStep) {
   if (!lisi::obs::enabled()) GTEST_SKIP() << "built without LISI_OBS=ON";
   constexpr int kRanks = 4;
   constexpr int kRestart = 30;
@@ -935,10 +951,12 @@ TEST(PkspGmres, TwoReductionsPerArnoldiStep) {
   run(true, &its);
   const long long solve = allreduceSpans() - setup;
   ASSERT_GT(its, kRestart);  // at least one restart
-  // Per rank: 2 per Arnoldi step (all projections, then the norm), 1 per
-  // restart cycle (||M^{-1} r||), and 1 for the fused post-solve residuals.
+  // Per rank: 1 per Arnoldi step (the projections and the norm that closes
+  // the previous column), 1 per cycle to close its last column (a closing
+  // norm, or the step whose SpMV+PC ran ahead of a converging column), 1
+  // per cycle for ||M^{-1} r||, and 1 for the fused post-solve residuals.
   const long long cycles = (its + kRestart - 1) / kRestart;
-  EXPECT_EQ(solve, kRanks * (2LL * its + cycles + 1)) << its << " iterations";
+  EXPECT_EQ(solve, kRanks * (its + 2LL * cycles + 1)) << its << " iterations";
 }
 
 TEST(PkspMulti, FallbackForUnsupportedTypeStillSolves) {

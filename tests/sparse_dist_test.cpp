@@ -482,5 +482,231 @@ TEST_P(DistP, SplitPhaseDotOverlapsSpmv) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistP,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8));
 
+// ---- Arnoldi step (delayed normalization) -------------------------------
+
+/// Global inputs of one Arnoldi lane: the unnormalized start vector and the
+/// w fed to each step (random, so the test checks the step, not a solver).
+struct ArnoldiInputs {
+  std::vector<double> v0;
+  std::vector<std::vector<double>> w;
+  ArnoldiInputs(int n, int steps, std::uint64_t seed) {
+    Rng rng(seed);
+    v0.resize(static_cast<std::size_t>(n));
+    for (auto& e : v0) e = rng.uniform(-2, 2);
+    w.assign(static_cast<std::size_t>(steps),
+             std::vector<double>(static_cast<std::size_t>(n)));
+    for (auto& vec : w) {
+      for (auto& e : vec) e = rng.uniform(-2, 2);
+    }
+  }
+};
+
+/// One rank's state of a lane: local basis slots, Hessenberg columns and
+/// the norms the steps measured.
+struct ArnoldiState {
+  const ArnoldiInputs* in;
+  std::size_t s;  // first owned global row
+  std::size_t m;  // owned rows
+  std::vector<std::vector<double>> v;
+  std::vector<double*> vp;
+  std::vector<std::vector<double>> h;
+  std::vector<double> nu;
+  std::size_t j = 0;  // next step
+
+  ArnoldiState(const ArnoldiInputs& inputs, int start, int rows)
+      : in(&inputs),
+        s(static_cast<std::size_t>(start)),
+        m(static_cast<std::size_t>(rows)),
+        v(inputs.w.size() + 1, std::vector<double>(m)),
+        h(inputs.w.size()) {
+    std::copy_n(inputs.v0.begin() + static_cast<std::ptrdiff_t>(s), m,
+                v[0].begin());
+    for (auto& vec : v) vp.push_back(vec.data());
+    for (std::size_t k = 0; k < h.size(); ++k) h[k].resize(k + 1);
+  }
+  /// The lane of step j (w sliced from the inputs).
+  [[nodiscard]] ArnoldiLane stepLane() {
+    ArnoldiLane ln;
+    ln.n = m;
+    ln.w = std::span<const double>(in->w[j].data() + s, m);
+    ln.basis = std::span<double* const>(vp).first(j + 2);
+    ln.h = h[j];
+    return ln;
+  }
+  void finish(const ArnoldiLane& ln) {
+    nu.push_back(ln.nu);
+    arnoldiExpand(ln);
+    ++j;
+  }
+};
+
+/// Serial reference of `steps` delayed-normalization Arnoldi steps on the
+/// global inputs: returns the normalized basis v_0..v_{steps-1}, the
+/// columns and the norms.
+struct ArnoldiReference {
+  std::vector<std::vector<double>> v;
+  std::vector<std::vector<double>> h;
+  std::vector<double> nu;
+  explicit ArnoldiReference(const ArnoldiInputs& in) {
+    std::vector<double> next = in.v0;
+    for (const auto& w : in.w) {
+      const double nrm = norm2(std::span<const double>(next));
+      nu.push_back(nrm);
+      v.push_back(next);
+      for (auto& e : v.back()) e /= nrm;
+      std::vector<double> col;
+      for (const auto& vi : v) {
+        col.push_back(dot(std::span<const double>(w),
+                          std::span<const double>(vi)) /
+                      nrm);
+      }
+      next = w;
+      for (auto& e : next) e /= nrm;
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        axpy(-col[i], std::span<const double>(v[i]),
+             std::span<double>(next));
+      }
+      h.push_back(col);
+    }
+  }
+};
+
+class ArnoldiStepP : public ::testing::TestWithParam<int> {};
+
+TEST_P(ArnoldiStepP, MatchesSerialReferenceAndIsBitwiseStable) {
+  const int p = GetParam();
+  constexpr int kN = 61;
+  constexpr int kSteps = 12;  // 12 basis vectors: head widths 8 and 2
+  const ArnoldiInputs inA(kN, kSteps, 901);
+  const ArnoldiInputs inB(kN, kSteps + 3, 902);
+  const ArnoldiInputs inC(kN, 1, 903);
+  const ArnoldiReference ref(inA);
+
+  // Lane A run alone (twice) and batched with B (three steps ahead, so a
+  // different basis size) and a closing lane C.  Each rank writes its rows
+  // of A's final basis into the shared result.
+  struct Result {
+    std::vector<double> basis;  // (kSteps+1) x kN, row-major
+    std::vector<std::vector<double>> h;
+    std::vector<double> nu;
+  };
+  const auto run = [&](bool batched) {
+    Result res;
+    res.basis.assign(static_cast<std::size_t>((kSteps + 1) * kN), 0.0);
+    comm::World::run(p, [&](comm::Comm& c) {
+      const BlockRowPartition part(kN, p);
+      const int s = part.startRow(c.rank());
+      const int m = part.localRows(c.rank());
+      ArnoldiWorkspace ws(3, kSteps + 4);
+      ArnoldiState a(inA, s, m);
+      ArnoldiState b(inB, s, m);
+      ArnoldiState cl(inC, s, m);
+      for (int k = 0; k < 3; ++k) {
+        ArnoldiLane ln = b.stepLane();
+        arnoldiProject(c, std::span<ArnoldiLane>(&ln, 1), ws);
+        b.finish(ln);
+      }
+      const std::span<const double> cv(cl.v[0].data(), cl.m);
+      const double cNorm = distNorm2(c, cv);
+      for (int k = 0; k < kSteps; ++k) {
+        if (batched) {
+          ArnoldiLane close;
+          close.n = cl.m;
+          close.basis = std::span<double* const>(cl.vp).first(1);
+          std::array<ArnoldiLane, 3> lanes{b.stepLane(), close, a.stepLane()};
+          arnoldiProject(c, std::span<ArnoldiLane>(lanes), ws);
+          EXPECT_EQ(lanes[1].nu, cNorm);  // a close is bitwise distNorm2
+          b.finish(lanes[0]);
+          a.finish(lanes[2]);
+        } else {
+          ArnoldiLane ln = a.stepLane();
+          arnoldiProject(c, std::span<ArnoldiLane>(&ln, 1), ws);
+          a.finish(ln);
+        }
+      }
+      for (std::size_t i = 0; i <= kSteps; ++i) {
+        std::copy(a.v[i].begin(), a.v[i].end(),
+                  res.basis.begin() +
+                      static_cast<std::ptrdiff_t>(i * kN + a.s));
+      }
+      if (c.rank() == 0) {
+        res.h = a.h;
+        res.nu = a.nu;
+      }
+    });
+    return res;
+  };
+  const Result alone = run(false);
+  const Result again = run(false);
+  const Result batched = run(true);
+  EXPECT_EQ(again.basis, alone.basis);
+  EXPECT_EQ(again.h, alone.h);
+  EXPECT_EQ(again.nu, alone.nu);
+  EXPECT_EQ(batched.basis, alone.basis);
+  EXPECT_EQ(batched.h, alone.h);
+  EXPECT_EQ(batched.nu, alone.nu);
+
+  // Against the serial reference: same quantities up to summation order.
+  for (std::size_t j = 0; j < static_cast<std::size_t>(kSteps); ++j) {
+    EXPECT_NEAR(alone.nu[j], ref.nu[j], 1e-12 * ref.nu[j]) << "step " << j;
+    for (std::size_t i = 0; i <= j; ++i) {
+      EXPECT_NEAR(alone.h[j][i], ref.h[j][i], 1e-12) << "h " << i << "," << j;
+    }
+    for (std::size_t r = 0; r < static_cast<std::size_t>(kN); ++r) {
+      EXPECT_NEAR(alone.basis[j * kN + r], ref.v[j][r], 1e-12)
+          << "v_" << j << " row " << r;
+    }
+  }
+  // v_0..v_{kSteps-1} are orthonormal.
+  for (std::size_t i = 0; i < static_cast<std::size_t>(kSteps); ++i) {
+    for (std::size_t k = 0; k <= i; ++k) {
+      double d = 0.0;
+      for (std::size_t r = 0; r < static_cast<std::size_t>(kN); ++r) {
+        d += alone.basis[i * kN + r] * alone.basis[k * kN + r];
+      }
+      EXPECT_NEAR(d, i == k ? 1.0 : 0.0, 1e-12) << i << "," << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, ArnoldiStepP, ::testing::Values(1, 2, 4));
+
+TEST(Dist, ArnoldiStepAllocatesNothingBeyondItsCollective) {
+  // The step's own work is allocation-free (workspace-owned scratch).  Its
+  // one allreduce is measured alongside with the same sizes, so the
+  // comparison also holds in builds whose collectives allocate (the
+  // LISI_COMM_CHECK bookkeeping); in the default build both are zero.
+  comm::World::run(1, [](comm::Comm& c) {
+    constexpr int kN = 200;
+    constexpr int kSteps = 10;
+    const ArnoldiInputs in(kN, kSteps, 904);
+    ArnoldiState st(in, 0, kN);
+    ArnoldiWorkspace ws(1, kSteps + 1);
+    ArnoldiLane ln = st.stepLane();
+    arnoldiProject(c, std::span<ArnoldiLane>(&ln, 1), ws);  // warm
+    st.finish(ln);
+    std::vector<double> local(kSteps + 1), global(kSteps + 1);
+    g_allocCalls.store(0);
+    g_countAllocs.store(true);
+    for (std::size_t j = 1; j < kSteps; ++j) {  // step j reduces j+2 values
+      c.allreduce(std::span<const double>(local).first(j + 2),
+                  std::span<double>(global).first(j + 2),
+                  comm::ReduceOp::kSum);
+    }
+    g_countAllocs.store(false);
+    const std::size_t collective = g_allocCalls.load();
+    g_allocCalls.store(0);
+    g_countAllocs.store(true);
+    for (int k = 1; k < kSteps; ++k) {
+      ln = st.stepLane();
+      arnoldiProject(c, std::span<ArnoldiLane>(&ln, 1), ws);
+      arnoldiExpand(ln);
+      ++st.j;
+    }
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocCalls.load(), collective);
+  });
+}
+
 }  // namespace
 }  // namespace lisi::sparse

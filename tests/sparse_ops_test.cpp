@@ -156,5 +156,92 @@ TEST(Generators, SpdIsSymmetric) {
   for (double v : diagonal(a)) EXPECT_GT(v, 0.0);
 }
 
+/// `count` random vectors of length `n` (and their pointers).
+struct RandomBasis {
+  std::vector<std::vector<double>> vecs;
+  std::vector<double*> ptrs;
+  RandomBasis(std::size_t count, std::size_t n, Rng& rng)
+      : vecs(count, std::vector<double>(n)) {
+    for (auto& v : vecs) {
+      for (auto& e : v) e = rng.uniform(-2, 2);
+      ptrs.push_back(v.data());
+    }
+  }
+};
+
+TEST(SubtractCombination, NegatedCoefficientsAreBitwiseTheAxpyLoop) {
+  // The GMRES restart update x += sum_i y_i v_i runs as one
+  // subtractCombination with coefficients -y_i.  It must be bitwise the
+  // per-vector loops it replaced: pksp's x[k] += y_i*v_i[k] and aztec's
+  // Vector::update(y_i, v_i, 1.0), i.e. vy = y_i*v_i + 1.0*vy.
+  Rng rng(71);
+  constexpr std::size_t kN = 37;  // odd: exercises the pair loop's tail
+  for (std::size_t count = 1; count <= 19; ++count) {
+    const RandomBasis basis(count, kN, rng);
+    std::vector<double> y(count);
+    for (auto& e : y) e = rng.uniform(-3, 3);
+    std::vector<double> x0(kN);
+    for (auto& e : x0) e = rng.uniform(-1, 1);
+
+    std::vector<double> axpyLoop = x0;
+    std::vector<double> updateLoop = x0;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t k = 0; k < kN; ++k) {
+        axpyLoop[k] += y[i] * basis.vecs[i][k];
+        updateLoop[k] = y[i] * basis.vecs[i][k] + 1.0 * updateLoop[k];
+      }
+    }
+    std::vector<double> negY(count);
+    for (std::size_t i = 0; i < count; ++i) negY[i] = -y[i];
+    std::vector<double> fused = x0;
+    subtractCombination(std::span<double>(fused),
+                        std::span<const double* const>(basis.ptrs),
+                        std::span<const double>(negY));
+    for (std::size_t k = 0; k < kN; ++k) {
+      ASSERT_EQ(fused[k], axpyLoop[k]) << count << " vectors, entry " << k;
+      ASSERT_EQ(fused[k], updateLoop[k]) << count << " vectors, entry " << k;
+    }
+  }
+}
+
+TEST(NormalizeAndSubtract, IsBitwiseScaleThenSequentialAxpys) {
+  // basis[m] *= s; out = w*s; out -= h_m basis[m]; out -= h_i basis[i] for
+  // i = 0..m-1 in turn.  m = 0..19 covers every head and group width.
+  Rng rng(72);
+  constexpr std::size_t kN = 41;
+  for (std::size_t m = 0; m <= 19; ++m) {
+    const RandomBasis start(m + 1, kN, rng);
+    std::vector<double> h(m + 1);
+    for (auto& e : h) e = rng.uniform(-1, 1);
+    std::vector<double> w(kN);
+    for (auto& e : w) e = rng.uniform(-5, 5);
+    const double s = 1.0 / rng.uniform(0.5, 3.0);
+
+    RandomBasis ref = start;
+    for (std::size_t i = 0; i <= m; ++i) ref.ptrs[i] = ref.vecs[i].data();
+    for (auto& e : ref.vecs[m]) e *= s;
+    std::vector<double> expected(kN);
+    for (std::size_t k = 0; k < kN; ++k) expected[k] = w[k] * s;
+    axpy(-h[m], std::span<const double>(ref.vecs[m]),
+         std::span<double>(expected));
+    for (std::size_t i = 0; i < m; ++i) {
+      axpy(-h[i], std::span<const double>(ref.vecs[i]),
+           std::span<double>(expected));
+    }
+
+    RandomBasis got = start;
+    for (std::size_t i = 0; i <= m; ++i) got.ptrs[i] = got.vecs[i].data();
+    std::vector<double> out(kN);
+    normalizeAndSubtract(std::span<double>(out), std::span<const double>(w),
+                         s, std::span<double* const>(got.ptrs),
+                         std::span<const double>(h));
+    for (std::size_t k = 0; k < kN; ++k) {
+      ASSERT_EQ(out[k], expected[k]) << "m=" << m << " entry " << k;
+      ASSERT_EQ(got.vecs[m][k], ref.vecs[m][k]) << "m=" << m << " entry " << k;
+    }
+    for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(got.vecs[i], start.vecs[i]);
+  }
+}
+
 }  // namespace
 }  // namespace lisi::sparse
