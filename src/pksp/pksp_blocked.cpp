@@ -41,8 +41,7 @@ using lisi::sparse::arnoldiProject;
 using lisi::sparse::DistCsrMatrix;
 using lisi::sparse::DotArgs;
 using lisi::sparse::GmresLeastSquares;
-using lisi::sparse::distDotsBegin;
-using lisi::sparse::distDotsEnd;
+using lisi::sparse::distDots;
 using lisi::sparse::PendingDots;
 
 using Vec = std::vector<double>;
@@ -87,6 +86,11 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
   std::vector<Monitor> mons(nv);
   std::vector<double> rz(nv, 0.0);
   std::vector<char> active(nv, 0);
+  // Iteration scratch, sized once: the active lanes, their dot lanes and
+  // the fused reductions' buffer.
+  std::vector<std::size_t> lanes(nv);
+  std::vector<DotArgs> dots(2 * nv);
+  PendingDots dotBuf;
 
   // R = B - A X: one halo exchange seeds every lane's residual.
   a.spmvMulti(x, std::span<double>(r), nRhs);
@@ -95,14 +99,12 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     m.apply(lane(r, v, n), lane(z, v, n));
   }
   // <z,z> and <r,z> for every lane share one fused allreduce.
-  std::vector<DotArgs> dots;
-  dots.reserve(2 * nv);
   for (std::size_t v = 0; v < nv; ++v) {
-    dots.push_back({lane(z, v, n), lane(z, v, n)});
-    dots.push_back({lane(r, v, n), lane(z, v, n)});
+    dots[2 * v] = {lane(z, v, n), lane(z, v, n)};
+    dots[2 * v + 1] = {lane(r, v, n), lane(z, v, n)};
   }
-  PendingDots pending = distDotsBegin(comm, dots);
-  const std::span<const double> init = distDotsEnd(pending);
+  const std::span<const double> init =
+      distDots(comm, std::span<const DotArgs>(dots), dotBuf);
   double maxZ = 0.0;
   for (std::size_t v = 0; v < nv; ++v) {
     const double znorm = std::sqrt(init[2 * v]);
@@ -127,24 +129,32 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     active[v] = 0;
     std::fill(lane(p, v, n).begin(), lane(p, v, n).end(), 0.0);
   };
-
-  for (int it = 1; it <= tol.maxits; ++it) {
-    std::vector<std::size_t> lanes;
-    for (std::size_t v = 0; v < nv; ++v) {
-      if (active[v]) lanes.push_back(v);
+  /// Keep only the still-active lanes among lanes[0..count).
+  const auto compact = [&](std::size_t count) {
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (active[lanes[k]]) lanes[kept++] = lanes[k];
     }
-    if (lanes.empty()) return reps;
+    return kept;
+  };
+
+  // lisi-lint: zero-alloc-begin(blocked CG iteration: solve-owned scratch only)
+  for (int it = 1; it <= tol.maxits; ++it) {
+    std::size_t nl = 0;
+    for (std::size_t v = 0; v < nv; ++v) {
+      if (active[v]) lanes[nl++] = v;
+    }
+    if (nl == 0) return reps;
 
     // Frozen lanes hold zero search directions, so the full-block matvec
     // stays one exchange without perturbing anyone.
     a.spmvMulti(std::span<const double>(p), std::span<double>(ap), nRhs);
-    dots.clear();
-    for (const std::size_t v : lanes) {
-      dots.push_back({lane(p, v, n), lane(ap, v, n)});
+    for (std::size_t k = 0; k < nl; ++k) {
+      dots[k] = {lane(p, lanes[k], n), lane(ap, lanes[k], n)};
     }
-    pending = distDotsBegin(comm, dots);
-    const std::span<const double> paps = distDotsEnd(pending);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
+    const std::span<const double> paps = distDots(
+        comm, std::span<const DotArgs>(dots).first(nl), dotBuf);
+    for (std::size_t k = 0; k < nl; ++k) {
       const std::size_t v = lanes[k];
       const double pap = paps[k];
       if (pap == 0.0 || isBad(pap)) {
@@ -163,23 +173,18 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
         rv[i] -= alpha * apv[i];
       }
     }
-    lanes.erase(std::remove_if(lanes.begin(), lanes.end(),
-                               [&](std::size_t v) { return !active[v]; }),
-                lanes.end());
-    if (lanes.empty()) return reps;
+    nl = compact(nl);
+    if (nl == 0) return reps;
 
-    for (const std::size_t v : lanes) {
-      m.apply(lane(r, v, n), lane(z, v, n));
+    for (std::size_t k = 0; k < nl; ++k) {
+      m.apply(lane(r, lanes[k], n), lane(z, lanes[k], n));
+      dots[2 * k] = {lane(z, lanes[k], n), lane(z, lanes[k], n)};
+      dots[2 * k + 1] = {lane(r, lanes[k], n), lane(z, lanes[k], n)};
     }
-    dots.clear();
-    for (const std::size_t v : lanes) {
-      dots.push_back({lane(z, v, n), lane(z, v, n)});
-      dots.push_back({lane(r, v, n), lane(z, v, n)});
-    }
-    pending = distDotsBegin(comm, dots);
-    const std::span<const double> zzrz = distDotsEnd(pending);
+    const std::span<const double> zzrz = distDots(
+        comm, std::span<const DotArgs>(dots).first(2 * nl), dotBuf);
     maxZ = 0.0;
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
+    for (std::size_t k = 0; k < nl; ++k) {
       const std::size_t v = lanes[k];
       const double znorm = std::sqrt(zzrz[2 * k]);
       maxZ = std::max(maxZ, znorm);
@@ -204,6 +209,7 @@ std::vector<SolveReport> runBlockedCg(const Comm& comm, const DistCsrMatrix& a,
     }
     if (tol.monitor) tol.monitor(it, maxZ);
   }
+  // lisi-lint: zero-alloc-end
   for (std::size_t v = 0; v < nv; ++v) {
     if (active[v]) reps[v].reason = PKSP_DIVERGED_ITS;
   }
@@ -238,34 +244,40 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
   }
   std::vector<GmresLeastSquares> lsq(nv, GmresLeastSquares(mru));
 
-  std::vector<DotArgs> dots;
-  std::vector<ArnoldiLane> step;
-  std::vector<std::size_t> stepLane;  // lane index of each step entry
-  step.reserve(nv);
-  stepLane.reserve(nv);
+  // Cycle and step scratch, sized once: the running lanes, the per-cycle
+  // lane state, the cycle-start dot lanes and the Arnoldi step entries.
+  std::vector<std::size_t> running(nv);
+  std::vector<char> inCycle(nv, 0);
+  std::vector<std::size_t> cols(nv, 0);
+  std::vector<PkspConvergedReason> cycleReason(nv, PKSP_ITERATING);
+  std::vector<DotArgs> dots(nv);
+  PendingDots dotBuf;
+  std::vector<ArnoldiLane> step(nv);
+  std::vector<std::size_t> stepLane(nv);  // lane index of each step entry
   ArnoldiWorkspace ws(nv, mru + 1);
   bool first = true;
 
+  // lisi-lint: zero-alloc-begin(blocked GMRES cycle: solve-owned scratch only)
   while (true) {
-    std::vector<std::size_t> running;
+    std::size_t nr = 0;
     for (std::size_t v = 0; v < nv; ++v) {
-      if (!done[v]) running.push_back(v);
+      if (!done[v]) running[nr++] = v;
     }
-    if (running.empty()) return reps;
+    if (nr == 0) return reps;
 
     // ---- cycle start: preconditioned residual of every running lane ----
     // M^{-1} r lands in basis slot 0 as the unnormalized v~_0.
     aMat.spmvMulti(std::span<const double>(x), std::span<double>(r), nRhs);
     for (std::size_t i = 0; i < n * nv; ++i) r[i] = b[i] - r[i];
-    dots.clear();
-    for (const std::size_t v : running) {
+    for (std::size_t k = 0; k < nr; ++k) {
+      const std::size_t v = running[k];
       m.apply(lane(r, v, n), std::span<double>(basis[v][0]));
-      dots.push_back({basis[v][0], basis[v][0]});
+      dots[k] = {basis[v][0], basis[v][0]};
     }
-    PendingDots pending = distDotsBegin(comm, dots);
-    const std::span<const double> zz = distDotsEnd(pending);
+    const std::span<const double> zz =
+        distDots(comm, std::span<const DotArgs>(dots).first(nr), dotBuf);
     double maxBeta = 0.0;
-    for (std::size_t k = 0; k < running.size(); ++k) {
+    for (std::size_t k = 0; k < nr; ++k) {
       const std::size_t v = running[k];
       const double beta = std::sqrt(zz[k]);
       maxBeta = std::max(maxBeta, beta);
@@ -290,25 +302,28 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
     }
     if (first && tol.monitor) tol.monitor(0, maxBeta);
     first = false;
-    running.erase(std::remove_if(running.begin(), running.end(),
-                                 [&](std::size_t v) { return done[v] != 0; }),
-                  running.end());
-    if (running.empty()) return reps;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < nr; ++k) {
+      if (!done[running[k]]) running[kept++] = running[k];
+    }
+    nr = kept;
+    if (nr == 0) return reps;
+    const std::span<const std::size_t> cycleLanes =
+        std::span<const std::size_t>(running).first(nr);
 
     // Each running lane's cycle; lanes leave it as they converge, hit a
     // lucky breakdown, or exhaust their iteration budget.  Step j opens
     // column j of every lane that still steps; its one reduction also
     // closes column j-1 of every lane in the cycle (DESIGN.md §6).
-    std::vector<char> inCycle(nv, 0);
-    std::vector<std::size_t> cols(nv, 0);
-    std::vector<PkspConvergedReason> cycleReason(nv, PKSP_ITERATING);
-    for (const std::size_t v : running) inCycle[v] = 1;
+    std::fill(inCycle.begin(), inCycle.end(), 0);
+    std::fill(cols.begin(), cols.end(), 0);
+    std::fill(cycleReason.begin(), cycleReason.end(), PKSP_ITERATING);
+    for (const std::size_t v : cycleLanes) inCycle[v] = 1;
 
     for (std::size_t j = 0;; ++j) {
-      step.clear();
-      stepLane.clear();
+      std::size_t ns = 0;
       std::fill(blockIn.begin(), blockIn.end(), 0.0);
-      for (const std::size_t v : running) {
+      for (const std::size_t v : cycleLanes) {
         if (!inCycle[v]) continue;
         const bool steps = j < mru && its[v] < tol.maxits;
         if (!steps && j == 0) {
@@ -325,25 +340,26 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
           std::copy(basis[v][j].begin(), basis[v][j].end(),
                     lane(blockIn, v, n).begin());
         }
-        step.push_back(ln);
-        stepLane.push_back(v);
+        step[ns] = ln;
+        stepLane[ns] = v;
+        ++ns;
       }
-      if (step.empty()) break;
+      if (ns == 0) break;
 
       // Block matvec over the j-th basis vectors; lanes not stepping
       // contribute zero columns so the exchange count stays one.
       aMat.spmvMulti(std::span<const double>(blockIn), std::span<double>(w),
                      nRhs);
-      for (std::size_t k = 0; k < step.size(); ++k) {
+      for (std::size_t k = 0; k < ns; ++k) {
         const std::size_t v = stepLane[k];
         if (!step[k].w.empty()) m.apply(lane(w, v, n), lane(wz, v, n));
       }
-      arnoldiProject(comm, step, ws);
+      arnoldiProject(comm, std::span<ArnoldiLane>(step).first(ns), ws);
 
       int maxIts = 0;
       double maxResid = 0.0;
       bool closed = false;
-      for (std::size_t k = 0; k < step.size(); ++k) {
+      for (std::size_t k = 0; k < ns; ++k) {
         const ArnoldiLane& ln = step[k];
         const std::size_t v = stepLane[k];
         if (j > 0) {
@@ -385,7 +401,7 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
     }
 
     // ---- per-lane triangular solve + solution update -------------------
-    for (const std::size_t v : running) {
+    for (const std::size_t v : cycleLanes) {
       if (done[v]) continue;
       if (!lsq[v].update(cols[v], basisPtr[v], lane(x, v, n))) {
         reps[v].reason = PKSP_DIVERGED_BREAKDOWN;
@@ -405,6 +421,7 @@ std::vector<SolveReport> runBlockedGmres(const Comm& comm,
       // recomputed residual then converges through the ATOL test).
     }
   }
+  // lisi-lint: zero-alloc-end
 }
 
 }  // namespace pksp::detail

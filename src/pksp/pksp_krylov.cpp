@@ -227,7 +227,7 @@ SolveReport runBiCgStab(const Comm& comm, const LinearOperator& a,
                         const Preconditioner& m, std::span<const double> b,
                         std::span<double> x, const Tolerances& tol) {
   const std::size_t n = x.size();
-  Vec r(n), rhat(n), p(n), ph(n), v(n), s(n), sh(n), t(n), z(n);
+  Vec r(n), rhat(n), p(n), ph(n), v(n), s(n), t(n), z(n);
   applyResidual(a, b, x, r);
   m.apply(std::span<const double>(r), std::span<double>(z));
   double znorm = distNorm2(comm, std::span<const double>(z));
@@ -270,7 +270,8 @@ SolveReport runBiCgStab(const Comm& comm, const LinearOperator& a,
     }
     alpha = rho / rhatV;
     for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    // Early exit on half-step convergence.
+    // Early exit on half-step convergence.  z = M^{-1} s is also the
+    // s-hat of the second half step, so s is preconditioned once.
     m.apply(std::span<const double>(s), std::span<double>(z));
     znorm = distNorm2(comm, std::span<const double>(z));
     if (mon.test(znorm) != PKSP_ITERATING) {
@@ -281,8 +282,7 @@ SolveReport runBiCgStab(const Comm& comm, const LinearOperator& a,
       rep.reason = mon.test(znorm);
       return rep;
     }
-    m.apply(std::span<const double>(s), std::span<double>(sh));
-    a.apply(std::span<const double>(sh), std::span<double>(t));
+    a.apply(std::span<const double>(z), std::span<double>(t));
     const double tt =
         distDot(comm, std::span<const double>(t), std::span<const double>(t));
     if (tt == 0.0 || isBad(tt)) {
@@ -294,7 +294,7 @@ SolveReport runBiCgStab(const Comm& comm, const LinearOperator& a,
                     std::span<const double>(s)) /
             tt;
     for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * ph[i] + omega * sh[i];
+      x[i] += alpha * ph[i] + omega * z[i];
       r[i] = s[i] - omega * t[i];
     }
     m.apply(std::span<const double>(r), std::span<double>(z));

@@ -89,12 +89,13 @@ SolveReport runPipelinedCg(const Comm& comm, const LinearOperator& a,
   SolveReport rep;
   double gammaOld = 0.0;  // <r,u> of the previous iteration
   double alphaOld = 0.0;
+  PendingDots pending;  // one reduction buffer for every iteration
 
   for (int it = 0; it <= tol.maxits; ++it) {
     const std::array<DotArgs, 3> lanes{DotArgs{cspan(u), cspan(u)},
                                        DotArgs{cspan(r), cspan(u)},
                                        DotArgs{cspan(w), cspan(u)}};
-    PendingDots pending = distDotsBegin(comm, std::span<const DotArgs>(lanes));
+    distDotsBegin(comm, std::span<const DotArgs>(lanes), pending);
     // Overlap region: the preconditioner and SpMV of this iteration.
     m.apply(cspan(w), std::span<double>(mm));
     (void)pending.test();  // drive middle reduction rounds
@@ -228,6 +229,8 @@ SolveReport runPipelinedBiCgStab(const Comm& comm, const LinearOperator& a,
     return rep;
   }
   double alpha = rhoCur / tau;
+  PendingDots pend1;  // phase reduction buffers, reused every iteration
+  PendingDots pend2;
 
   for (int it = 1; it <= tol.maxits; ++it) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -238,7 +241,7 @@ SolveReport runPipelinedBiCgStab(const Comm& comm, const LinearOperator& a,
         DotArgs{cspan(t), cspan(s)}, DotArgs{cspan(t), cspan(t)},
         DotArgs{cspan(rhat), cspan(s)}, DotArgs{cspan(rhat), cspan(t)},
         DotArgs{cspan(rhat), cspan(q)}};
-    PendingDots pend1 = distDotsBegin(comm, std::span<const DotArgs>(ph1));
+    distDotsBegin(comm, std::span<const DotArgs>(ph1), pend1);
     a.apply(cspan(t), std::span<double>(tmp));
     (void)pend1.test();
     m.apply(cspan(tmp), std::span<double>(z));
@@ -278,7 +281,7 @@ SolveReport runPipelinedBiCgStab(const Comm& comm, const LinearOperator& a,
     }
     const std::array<DotArgs, 2> ph2{DotArgs{cspan(rhat), cspan(z)},
                                      DotArgs{cspan(r), cspan(r)}};
-    PendingDots pend2 = distDotsBegin(comm, std::span<const DotArgs>(ph2));
+    distDotsBegin(comm, std::span<const DotArgs>(ph2), pend2);
     a.apply(cspan(v), std::span<double>(tmp));
     (void)pend2.test();
     m.apply(cspan(tmp), std::span<double>(q));

@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 
 #include "cca/cca.hpp"
 #include "comm/comm.hpp"
@@ -47,14 +46,18 @@ std::string backendClass(const std::string& backend) {
   return {};
 }
 
-/// Two requests may share one blocked multi-RHS solve: same operator (by
-/// declared id AND by pointer), same backend, identical parameter lists,
-/// compatible sizes.
-bool batchable(const SolveRequest& a, const SolveRequest& b) {
-  return a.operatorId == b.operatorId && a.matrix.get() == b.matrix.get() &&
-         a.backend == b.backend && a.rhs.size() == b.rhs.size() &&
+/// Two requests belong to one operator class — they may share one blocked
+/// multi-RHS solve, and one set-up component — when they name the same
+/// operator (declared id AND matrix pointer), backend and parameter lists.
+/// Equal matrices imply equal rhs lengths (submit checks them).
+bool sameSelection(const SolveRequest& a, const SolveRequest& b) {
+  return a.operatorId == b.operatorId && a.backend == b.backend &&
          a.stringParams == b.stringParams && a.intParams == b.intParams &&
          a.doubleParams == b.doubleParams;
+}
+
+bool batchable(const SolveRequest& a, const SolveRequest& b) {
+  return a.matrix == b.matrix && sameSelection(a, b);
 }
 
 /// This rank's block of the near-even block-row partition of n rows over
@@ -109,32 +112,114 @@ struct SolverService::Pending {
   Clock::time_point enqueued;
 };
 
+/// The leader's component-cache decision for one batch.  Every session
+/// rank applies it to its own mirror of the cache, so the ranks agree on
+/// hit or miss (and take the same collective path) even while a client
+/// frees a matrix, which the ranks would otherwise observe at different
+/// times.
+struct CachePlan {
+  int hit = -1;            ///< cache entry serving the batch; -1 on a miss
+  std::uint32_t drop = 0;  ///< miss: bit i set destroys entry i first
+};
+static_assert(kSessionComponents >= 1 && kSessionComponents <= 32,
+              "CachePlan::drop holds one bit per cache entry");
+
 /// One unit of session work: the lanes of a blocked multi-RHS solve.
 struct SolverService::Batch {
   std::vector<std::unique_ptr<Pending>> lanes;
   Clock::time_point dequeued;
+  CachePlan plan;  ///< written by the leader before the batch is published
 };
 
-/// Per-rank, per-session solver state.  Components are cached by backend
-/// so consecutive batches against the same backend reuse the component
-/// (and its operator-change detection: a repeated matrix degenerates to a
-/// value-only or no-op setup).
+/// Per-rank, per-session solver state: up to kSessionComponents set-up
+/// components, one per operator class, least recently used evicted first.
+/// Every rank of a session holds the same entries in the same order,
+/// because all of them apply the same plans and drops in batch order.
 struct SolverService::SessionWorker {
+  struct Entry {
+    SolveRequest selection;  ///< backend, operatorId, params (no matrix, rhs)
+    std::weak_ptr<const sparse::CsrMatrix> matrix;
+    std::string instance;  ///< framework instance name
+    std::shared_ptr<SparseSolver> solver;
+    std::uint64_t lastUse = 0;
+  };
+
   cca::Framework fw;
   long handle = 0;
-  std::map<std::string, std::shared_ptr<SparseSolver>> solvers;
+  std::vector<Entry> entries;
+  std::uint64_t uses = 0;       ///< LRU clock
+  std::uint64_t instances = 0;  ///< instance-name serial
 
-  std::shared_ptr<SparseSolver> solver(const std::string& backend) {
-    const auto it = solvers.find(backend);
-    if (it != solvers.end()) return it->second;
-    const std::string cls = backendClass(backend);
-    if (cls.empty()) return nullptr;
-    const std::string name = "svc_" + backend;
-    fw.instantiate(name, cls);
-    auto s = fw.getProvidesPortAs<SparseSolver>(name, kSparseSolverPortName);
-    if (s->initialize(handle) != 0) return nullptr;
-    solvers.emplace(backend, s);
-    return s;
+  /// Leader only: a hit if a live entry holds this very matrix and the same
+  /// selection; otherwise drop the expired entries and, if the cache is
+  /// still full, the least recently used one.
+  [[nodiscard]] CachePlan plan(const SolveRequest& req) const {
+    CachePlan p;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].matrix.lock() == req.matrix &&
+          sameSelection(entries[i].selection, req)) {
+        p.hit = static_cast<int>(i);
+        return p;
+      }
+    }
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].matrix.expired()) {
+        p.drop |= 1u << i;
+      } else {
+        ++live;
+      }
+    }
+    if (live >= static_cast<std::size_t>(kSessionComponents)) {
+      std::size_t lru = entries.size();
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if ((p.drop >> i & 1u) == 0 &&
+            (lru == entries.size() ||
+             entries[i].lastUse < entries[lru].lastUse)) {
+          lru = i;
+        }
+      }
+      p.drop |= 1u << lru;
+    }
+    return p;
+  }
+
+  /// Apply `p`: the hit entry, or a freshly instantiated and initialized
+  /// component appended after the drops.  Returns the entry's index, or -1
+  /// if the component could not be initialized (nothing is cached then).
+  int acquire(const CachePlan& p, const SolveRequest& req) {
+    if (p.hit >= 0) {
+      entries[static_cast<std::size_t>(p.hit)].lastUse = ++uses;
+      return p.hit;
+    }
+    for (std::size_t i = entries.size(); i-- > 0;) {
+      if ((p.drop >> i & 1u) != 0) drop(static_cast<int>(i));
+    }
+    Entry e;
+    e.selection.backend = req.backend;
+    e.selection.operatorId = req.operatorId;
+    e.selection.stringParams = req.stringParams;
+    e.selection.intParams = req.intParams;
+    e.selection.doubleParams = req.doubleParams;
+    e.matrix = req.matrix;
+    e.instance = "svc_" + std::to_string(instances++);
+    fw.instantiate(e.instance, backendClass(req.backend));
+    e.solver =
+        fw.getProvidesPortAs<SparseSolver>(e.instance, kSparseSolverPortName);
+    if (e.solver->initialize(handle) != 0) {
+      fw.destroy(e.instance);
+      return -1;
+    }
+    e.lastUse = ++uses;
+    entries.push_back(std::move(e));
+    return static_cast<int>(entries.size()) - 1;
+  }
+
+  /// Destroy entry `i` and its component.
+  void drop(int i) {
+    const auto it = entries.begin() + i;
+    fw.destroy(it->instance);
+    entries.erase(it);
   }
 };
 
@@ -280,11 +365,21 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
   const RowRange rr = rowRange(n, sc.rank(), sc.size());
   const auto m = static_cast<std::size_t>(rr.count);
 
-  int rc = 0;
-  std::shared_ptr<SparseSolver> solver = worker.solver(req0.backend);
-  if (solver == nullptr) rc = 1;
+  const int slot = worker.acquire(batch.plan, req0);
+  const bool hit = batch.plan.hit >= 0;
+  if (sc.rank() == 0 && slot >= 0) {
+    (hit ? componentHits_ : componentsBuilt_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  int rc = slot < 0 ? 1 : 0;
+  SparseSolver* solver =
+      slot < 0 ? nullptr
+               : worker.entries[static_cast<std::size_t>(slot)].solver.get();
 
-  if (rc == 0) {
+  // A hit's component already holds this operator class's distribution,
+  // parameters and matrix: its solve classifies as kSameOperator and keeps
+  // every preconditioner, factorization and hierarchy as it is.
+  if (rc == 0 && !hit) {
     const sparse::CsrMatrix local = sliceRows(*req0.matrix, rr);
     rc = solver->setStartRow(rr.start);
     if (rc == 0) rc = solver->setLocalRows(rr.count);
@@ -308,18 +403,18 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
           RArray<const int>(local.colIdx.data(), local.nnz()),
           SparseStruct::kCsr, local.rows + 1, local.nnz());
     }
-    if (rc == 0) {
-      std::vector<double> b(m * static_cast<std::size_t>(nv));
-      for (int k = 0; k < nv; ++k) {
-        const auto& rhs = batch.lanes[static_cast<std::size_t>(k)]->req.rhs;
-        std::copy(rhs.begin() + rr.start, rhs.begin() + rr.start + rr.count,
-                  b.begin() + static_cast<std::ptrdiff_t>(
-                                  static_cast<std::size_t>(k) * m));
-      }
-      rc = solver->setupRHS(
-          RArray<const double>(b.data(), static_cast<int>(b.size())),
-          rr.count, nv);
+  }
+  if (rc == 0) {
+    std::vector<double> b(m * static_cast<std::size_t>(nv));
+    for (int k = 0; k < nv; ++k) {
+      const auto& rhs = batch.lanes[static_cast<std::size_t>(k)]->req.rhs;
+      std::copy(rhs.begin() + rr.start, rhs.begin() + rr.start + rr.count,
+                b.begin() + static_cast<std::ptrdiff_t>(
+                                static_cast<std::size_t>(k) * m));
     }
+    rc = solver->setupRHS(
+        RArray<const double>(b.data(), static_cast<int>(b.size())), rr.count,
+        nv);
   }
   // Agree on the outcome so every rank takes the same collective path even
   // if only one rank's setup failed.
@@ -334,17 +429,16 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
                       kStatusLength);
     rc = sc.allreduceValue(solveRc, comm::ReduceOp::kMax);
   }
+  // A failed batch leaves no component behind: whatever state the failure
+  // left in it, the class's next request sets up a fresh one.  rc is
+  // agreed, so every rank drops the same entry.
+  if (rc != 0 && slot >= 0) worker.drop(slot);
 
-  std::vector<std::vector<double>> gathered;
-  if (rc == 0) {
-    gathered.reserve(static_cast<std::size_t>(nv));
-    for (int k = 0; k < nv; ++k) {
-      gathered.push_back(sc.gatherv(
-          std::span<const double>(x.data() + static_cast<std::size_t>(k) * m,
-                                  m),
-          0));
-    }
-  }
+  // One gather of every rank's whole m x nv block: the leader receives the
+  // rank-ordered concatenation, in which rank r's block starts at
+  // start_r * nv and holds its lanes vector-major.
+  std::vector<double> gathered;
+  if (rc == 0) gathered = sc.gatherv(std::span<const double>(x), 0);
 
   if (sc.rank() != 0) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -360,7 +454,15 @@ void SolverService::serveBatch(const comm::Comm& sc, int session,
     res.solveSeconds = secondsSince(batch.dequeued, done);
     if (rc == 0) {
       res.ok = true;
-      res.x = std::move(gathered[static_cast<std::size_t>(k)]);
+      res.x.resize(static_cast<std::size_t>(n));
+      for (int r = 0; r < sc.size(); ++r) {
+        const RowRange rb = rowRange(n, r, sc.size());
+        const auto from = static_cast<std::ptrdiff_t>(
+            (static_cast<std::size_t>(rb.start) * static_cast<std::size_t>(nv)) +
+            (static_cast<std::size_t>(k) * static_cast<std::size_t>(rb.count)));
+        std::copy(gathered.begin() + from, gathered.begin() + from + rb.count,
+                  res.x.begin() + rb.start);
+      }
       res.iterations = static_cast<int>(st[kStatusIterations]);
       res.residualNorm = st[kStatusResidualNorm];
       res.converged = st[kStatusConverged] != 0.0;
@@ -385,6 +487,7 @@ void SolverService::rankBody(comm::Comm& world) {
     int token = 0;
     if (sc.rank() == 0) {
       batch = popBatch();
+      if (batch) batch->plan = worker.plan(batch->lanes.front()->req);
       {
         support::MutexLock lock(slotMutex_);
         slots_[static_cast<std::size_t>(session)] = batch;

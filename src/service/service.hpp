@@ -8,6 +8,9 @@
 // Session leaders pull requests, greedily batch requests against the same
 // operator into one multi-RHS solve (the "multi_rhs=blocked" backend path),
 // and resolve each request's future with its lane of the block solution.
+// Each session keeps its set-up solver components in a bounded LRU keyed by
+// operator class (kSessionComponents), so a repeated operator skips the
+// whole matrix setup (docs/SERVICE.md "The component cache").
 //
 // Concurrency model: SolverService owns one background thread running
 // comm::World::run(sessions * ranksPerSession).  Each rank thread splits
@@ -70,14 +73,27 @@ struct ServiceConfig {
 /// when set (invalid or non-positive values fall back to the default).
 [[nodiscard]] ServiceConfig configFromEnv();
 
+/// Solver components a session keeps set up, keyed by operator class
+/// (backend, operatorId, matrix identity, parameter lists).  A request whose
+/// class is cached skips the whole matrix setup; a miss beyond the bound
+/// evicts the least recently used component.  perfbench's service_mix draws
+/// 14 classes, so every session keeps all of them.
+inline constexpr int kSessionComponents = 16;
+
 /// One solve: a shared global operator, this request's right-hand side,
-/// and the backend/parameter selection.  Requests are batchable into one
-/// blocked multi-RHS solve when operatorId, matrix, backend, and every
-/// parameter list compare equal.
+/// and the backend/parameter selection.  Requests whose operatorId,
+/// matrix, backend, and every parameter list compare equal form one
+/// operator class: they are batchable into one blocked multi-RHS solve,
+/// and a session serves them all from one set-up component.
 struct SolveRequest {
   /// Global square operator with global column indices.  shared_ptr so a
   /// client can enqueue many requests against one assembled matrix without
-  /// copies; pointer identity doubles as part of the batch key.
+  /// copies.  (operatorId, matrix) names ONE immutable operator across
+  /// requests, not only within one batch: a session that has set up this
+  /// pair reuses that setup (partition, halo plan, preconditioner, factors)
+  /// for every later request of the class.  Never modify a matrix after
+  /// submitting it; submit a new one (or a new operatorId) instead.  A
+  /// freed matrix whose address is reused is a different operator.
   std::shared_ptr<const sparse::CsrMatrix> matrix;
   std::vector<double> rhs;      ///< global right-hand side (matrix->rows)
   /// "pksp" | "aztec" | "slu" | "hymg", or a dlopen-loaded backend's CCA
@@ -148,6 +164,14 @@ class SolverService {
   [[nodiscard]] long long batchesServed() const {
     return batches_.load(std::memory_order_relaxed);
   }
+  /// Batches that had to instantiate and set up a component (cache miss).
+  [[nodiscard]] long long componentsBuilt() const {
+    return componentsBuilt_.load(std::memory_order_relaxed);
+  }
+  /// Batches served by an already set-up component (cache hit).
+  [[nodiscard]] long long componentHits() const {
+    return componentHits_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Pending;
@@ -176,6 +200,8 @@ class SolverService {
   std::atomic<long long> accepted_{0};
   std::atomic<long long> rejected_{0};
   std::atomic<long long> batches_{0};
+  std::atomic<long long> componentsBuilt_{0};
+  std::atomic<long long> componentHits_{0};
 };
 
 }  // namespace lisi::service

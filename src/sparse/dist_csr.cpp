@@ -957,18 +957,39 @@ void localDots(std::span<const DotArgs> dots, std::span<double> out) {
 
 }  // namespace
 
+void PendingDots::sumLocal(std::span<const DotArgs> dots) {
+  LISI_CHECK(!handle_.valid() || handle_.test(),
+             "distDotsBegin: the previous batch is still in flight");
+  if (!buf_) buf_ = std::make_unique<Buf>();
+  buf_->local.resize(dots.size());
+  buf_->global.resize(dots.size());
+  localDots(dots, std::span<double>(buf_->local));
+}
+
 PendingDots distDotsBegin(const comm::Comm& comm,
                           std::span<const DotArgs> dots) {
   PendingDots pending;
-  pending.buf_ = std::make_unique<PendingDots::Buf>();
-  auto& buf = *pending.buf_;
-  buf.local.resize(dots.size());
-  buf.global.resize(dots.size());
-  localDots(dots, std::span<double>(buf.local));
-  pending.handle_ = comm.iallreduce(std::span<const double>(buf.local),
-                                    std::span<double>(buf.global),
-                                    comm::ReduceOp::kSum);
+  distDotsBegin(comm, dots, pending);
   return pending;
+}
+
+void distDotsBegin(const comm::Comm& comm, std::span<const DotArgs> dots,
+                   PendingDots& pending) {
+  pending.sumLocal(dots);
+  pending.handle_ =
+      comm.iallreduce(std::span<const double>(pending.buf_->local),
+                      std::span<double>(pending.buf_->global),
+                      comm::ReduceOp::kSum);
+}
+
+std::span<const double> distDots(const comm::Comm& comm,
+                                 std::span<const DotArgs> dots,
+                                 PendingDots& buffer) {
+  buffer.sumLocal(dots);
+  buffer.handle_ = comm::CollHandle();
+  comm.allreduce(std::span<const double>(buffer.buf_->local),
+                 std::span<double>(buffer.buf_->global), comm::ReduceOp::kSum);
+  return std::span<const double>(buffer.buf_->global);
 }
 
 std::span<const double> distDotsEnd(PendingDots& pending) {

@@ -287,6 +287,9 @@ struct DotArgs {
 /// In-flight fused dot batch.  Move-only; results land in an internally
 /// owned buffer whose address is stable across moves, so a PendingDots can
 /// be returned from helpers and stored freely while the reduction runs.
+/// A caller that keeps one PendingDots across batches (the distDots and
+/// three-argument distDotsBegin forms) reuses that buffer: once it has
+/// held as many lanes, a batch allocates nothing for it.
 class PendingDots {
  public:
   PendingDots() = default;
@@ -302,9 +305,15 @@ class PendingDots {
   [[nodiscard]] bool valid() const { return handle_.valid(); }
 
  private:
-  friend PendingDots distDotsBegin(const comm::Comm&,
-                                   std::span<const DotArgs>);
+  friend void distDotsBegin(const comm::Comm&, std::span<const DotArgs>,
+                            PendingDots&);
+  friend std::span<const double> distDots(const comm::Comm&,
+                                          std::span<const DotArgs>,
+                                          PendingDots&);
   friend std::span<const double> distDotsEnd(PendingDots&);
+
+  /// Local partial sums of `dots` into the (reused) buffer.
+  void sumLocal(std::span<const DotArgs> dots);
 
   struct Buf {
     std::vector<double> local;
@@ -317,6 +326,20 @@ class PendingDots {
 /// Start a fused batch of global dot products (one lane per entry).
 [[nodiscard]] PendingDots distDotsBegin(const comm::Comm& comm,
                                         std::span<const DotArgs> dots);
+
+/// Start a fused batch in the caller-owned `pending`, reusing its buffer.
+/// Its previous batch, if any, must be finished.
+void distDotsBegin(const comm::Comm& comm, std::span<const DotArgs> dots,
+                   PendingDots& pending);
+
+/// Blocking fused batch in the caller-owned `buffer`: one allreduce, no
+/// handle, lanes bitwise those of distDotsBegin + distDotsEnd.  Allocates
+/// nothing once `buffer` has held as many lanes (in a build whose
+/// collectives do not allocate).  The span stays valid until `buffer`'s
+/// next batch.
+std::span<const double> distDots(const comm::Comm& comm,
+                                 std::span<const DotArgs> dots,
+                                 PendingDots& buffer);
 
 /// Finish a batch: wait for the reduction and return the per-lane results.
 /// The span points into `pending` and stays valid until it is destroyed or

@@ -4,17 +4,48 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 
+#include "comm/check.hpp"
 #include "comm/comm.hpp"
 #include "mesh/pde5pt.hpp"
 #include "obs/obs.hpp"
 #include "pksp/pksp.hpp"
+#include "pksp/pksp_internal.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/ops.hpp"
 #include "support/rng.hpp"
+
+// ---- global allocation counter ----------------------------------------
+// Replaces the global allocation functions for this test binary so the
+// allocation-free contract of the blocked Krylov loops can be asserted
+// directly.  Counting is off by default; tests toggle it around the
+// measured region.
+namespace {
+std::atomic<bool> g_countAllocs{false};
+std::atomic<std::size_t> g_allocCalls{0};
+
+void* countedAlloc(std::size_t n) {
+  if (g_countAllocs.load(std::memory_order_relaxed)) {
+    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (!p) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return countedAlloc(n); }
+void* operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pksp {
 namespace {
@@ -957,6 +988,95 @@ TEST(PkspGmres, OneReductionPerArnoldiStep) {
   // per cycle for ||M^{-1} r||, and 1 for the fused post-solve residuals.
   const long long cycles = (its + kRestart - 1) / kRestart;
   EXPECT_EQ(solve, kRanks * (its + 2LL * cycles + 1)) << its << " iterations";
+}
+
+// ---- hot loops ------------------------------------------------------------
+
+/// Heap allocations of one warm 2-lane KSPSolveMulti at p = 1 stopped after
+/// `maxits` iterations (rtol 0: no lane converges first).
+std::size_t blockedSolveAllocs(KSP ksp, int maxits,
+                               std::span<const double> b, std::span<double> x) {
+  EXPECT_EQ(KSPSetTolerances(ksp, 0.0, 0.0, maxits), PKSP_SUCCESS);
+  g_allocCalls.store(0);
+  g_countAllocs.store(true);
+  (void)KSPSolveMulti(ksp, b, x, 2);
+  g_countAllocs.store(false);
+  int its = 0;
+  KSPGetIterationNumber(ksp, &its);
+  EXPECT_EQ(its, maxits);
+  return g_allocCalls.load();
+}
+
+TEST(PkspMulti, BlockedIterationsAllocateNothing) {
+  // Two warm solves that differ only in their iteration count allocate the
+  // same: whatever a solve allocates, it allocates once, not per iteration
+  // (GMRES: not per restart cycle either).
+  if (lisi::comm::check::enabled()) {
+    GTEST_SKIP() << "LISI_COMM_CHECK collectives allocate their bookkeeping";
+  }
+  const CsrMatrix g = lisi::sparse::laplacian2d(12, 12);
+  struct Config {
+    PkspType type;
+    PkspPcType pc;
+  };
+  for (const Config cfg : {Config{PKSP_CG, PKSP_PC_JACOBI},
+                           Config{PKSP_GMRES, PKSP_PC_ILU0}}) {
+    World::run(1, [&](Comm& c) {
+      DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g);
+      const auto m = static_cast<std::size_t>(a.localRows());
+      std::vector<double> b(2 * m), x(2 * m);
+      Rng rng(11);
+      for (double& v : b) v = rng.uniform(-1, 1);
+      KSP ksp = nullptr;
+      ASSERT_EQ(KSPCreate(c, &ksp), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetOperator(ksp, &a), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetType(ksp, cfg.type), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetPCType(ksp, cfg.pc), PKSP_SUCCESS);
+      ASSERT_EQ(KSPSetRestart(ksp, 5), PKSP_SUCCESS);
+      // Warm-up: builds the preconditioner and sizes every reused buffer
+      // (the residual history included) for the longest solve below.
+      (void)blockedSolveAllocs(ksp, 40, b, x);
+      const std::size_t shortSolve = blockedSolveAllocs(ksp, 10, b, x);
+      const std::size_t longSolve = blockedSolveAllocs(ksp, 30, b, x);
+      EXPECT_EQ(longSolve, shortSolve)
+          << (cfg.type == PKSP_CG ? "CG" : "GMRES") << ": "
+          << longSolve - shortSolve << " allocations in 20 more iterations";
+      KSPDestroy(&ksp);
+    });
+  }
+}
+
+/// Preconditioner that counts its applications (z = r).
+class CountingPc final : public detail::Preconditioner {
+ public:
+  void apply(std::span<const double> r, std::span<double> z) const override {
+    ++applies;
+    std::copy(r.begin(), r.end(), z.begin());
+  }
+  mutable int applies = 0;
+};
+
+TEST(PkspBicgstab, ThreePreconditionerAppliesPerIteration) {
+  // One apply for the initial ||M^{-1} r||, then per full iteration:
+  // M^{-1} p, M^{-1} s (the half-step norm, reused as s-hat for t = A s-hat)
+  // and M^{-1} r for the convergence norm.  s is preconditioned once.
+  const CsrMatrix g = lisi::sparse::laplacian2d(10, 10);
+  World::run(1, [&](Comm& c) {
+    DistCsrMatrix a = DistCsrMatrix::scatterFromRoot(c, g);
+    const detail::MatrixOperator op(&a);
+    std::vector<double> b(static_cast<std::size_t>(a.localRows()), 1.0);
+    std::vector<double> x(b.size(), 0.0);
+    CountingPc pc;
+    detail::Tolerances tol;
+    tol.rtol = 0.0;
+    tol.atol = 0.0;
+    tol.maxits = 6;
+    const detail::SolveReport rep = detail::runBiCgStab(
+        c, op, pc, std::span<const double>(b), std::span<double>(x), tol);
+    EXPECT_EQ(rep.reason, PKSP_DIVERGED_ITS);
+    EXPECT_EQ(rep.iterations, 6);
+    EXPECT_EQ(pc.applies, 1 + 3 * 6);
+  });
 }
 
 TEST(PkspMulti, FallbackForUnsupportedTypeStillSolves) {

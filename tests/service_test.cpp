@@ -1,5 +1,6 @@
 // Tests for the session-scoped solver service: admission control,
-// same-operator batching into blocked multi-RHS solves, cross-backend
+// same-operator batching into blocked multi-RHS solves, the per-session
+// component cache (hits, LRU eviction, failure drops), cross-backend
 // session pools, per-session observability attribution, and a concurrent
 // stress shape meant to run under TSan (scripts/verify.sh service stage).
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "mesh/pde5pt.hpp"
 #include "obs/obs.hpp"
 #include "service/service.hpp"
+#include "sparse/dist_csr.hpp"
 #include "sparse/generate.hpp"
 
 namespace lisi::service {
@@ -270,6 +273,242 @@ TEST(Service, PerSessionObsAttribution) {
     if (c.name == "service.lanes") lanes += c.total;
   }
   EXPECT_EQ(lanes, 4);
+}
+
+// ---- component cache ------------------------------------------------------
+
+/// Submit one request to a started service and wait for its result.
+SolveResult solveNow(SolverService& svc, SolveRequest req) {
+  auto f = svc.submit(std::move(req));
+  EXPECT_TRUE(f.has_value());
+  return f.has_value() ? f->get() : SolveResult{};
+}
+
+/// One operator class per backend, shaped like perfbench's service_mix:
+/// GMRES+ILU(0) on the paper's convection-diffusion operator for pksp and
+/// aztec, CG+Jacobi on a 9-point Laplacian for pksp, RCM LU for slu, and
+/// the rediscretized hierarchy for hymg.
+struct CacheCase {
+  const char* label;
+  const char* backend;
+  bool laplacian;  ///< 9-point Laplacian instead of the paper's operator
+};
+
+SolveRequest cacheRequest(const CacheCase& cc, int gridN,
+                          std::shared_ptr<const sparse::CsrMatrix> a,
+                          std::uint64_t operatorId) {
+  SolveRequest req;
+  req.matrix = std::move(a);
+  req.rhs.resize(static_cast<std::size_t>(req.matrix->rows));
+  for (std::size_t i = 0; i < req.rhs.size(); ++i) {
+    req.rhs[i] = 1.0 + 0.5 * std::sin(0.37 * static_cast<double>(i));
+  }
+  req.backend = cc.backend;
+  req.operatorId = operatorId;
+  const std::string backend = cc.backend;
+  if (backend == "pksp" && cc.laplacian) {
+    req.stringParams = {{"solver", "cg"}, {"preconditioner", "jacobi"}};
+    req.doubleParams = {{"tol", 1e-10}};
+  } else if (backend == "pksp" || backend == "aztec") {
+    req.stringParams = {{"solver", "gmres"}, {"preconditioner", "ilu"}};
+    req.intParams = {{"restart", 30}, {"maxits", 2000}};
+    req.doubleParams = {{"tol", 1e-10}};
+  } else if (backend == "slu") {
+    req.stringParams = {{"ordering", "rcm"}};
+  } else {
+    req.intParams = {{"mg_grid_n", gridN}, {"maxits", 100}};
+    req.doubleParams = {{"mg_bx", 3.0}, {"tol", 1e-10}};
+  }
+  return req;
+}
+
+std::shared_ptr<const sparse::CsrMatrix> cacheOperator(const CacheCase& cc,
+                                                       int gridN) {
+  if (cc.laplacian) {
+    return std::make_shared<const sparse::CsrMatrix>(
+        sparse::laplacian2d9(gridN, gridN));
+  }
+  mesh::Pde5ptSpec spec;
+  spec.gridN = gridN;
+  return std::make_shared<const sparse::CsrMatrix>(
+      mesh::assembleGlobal(spec).localA);
+}
+
+void PrintTo(const CacheCase& cc, std::ostream* os) { *os << cc.label; }
+
+class ServiceCacheHit : public ::testing::TestWithParam<CacheCase> {};
+
+TEST_P(ServiceCacheHit, RepeatedOperatorMatchesFreshSetupBitwise) {
+  // A, B, A on one 2-rank session: the second A is served by A's cached
+  // component (no setupMatrix; the backend keeps its preconditioner,
+  // factors or hierarchy) and must reproduce the first A exactly.
+  const CacheCase cc = GetParam();
+  const auto a = cacheOperator(cc, 15);
+  const auto b = cacheOperator(cc, 7);
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  SolverService svc(cfg);
+  svc.start();
+  const SolveResult first = solveNow(svc, cacheRequest(cc, 15, a, 1));
+  const SolveResult other = solveNow(svc, cacheRequest(cc, 7, b, 2));
+  const long long plans = sparse::haloPlanBuilds();
+  const long long updates = sparse::valueUpdates();
+  const SolveResult again = solveNow(svc, cacheRequest(cc, 15, a, 1));
+  // The hit set up nothing: no distributed operator, not even a value-only
+  // refresh of one.
+  EXPECT_EQ(sparse::haloPlanBuilds(), plans);
+  EXPECT_EQ(sparse::valueUpdates(), updates);
+  svc.stop();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(other.ok) << other.error;
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(svc.componentsBuilt(), 2);
+  EXPECT_EQ(svc.componentHits(), 1);
+  EXPECT_EQ(again.iterations, first.iterations);
+  ASSERT_EQ(again.x.size(), first.x.size());
+  for (std::size_t i = 0; i < first.x.size(); ++i) {
+    ASSERT_EQ(again.x[i], first.x[i]) << cc.label << " entry " << i;
+  }
+  EXPECT_LT(residualInf(*a, again.x, cacheRequest(cc, 15, a, 1).rhs), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ServiceCacheHit,
+    ::testing::Values(CacheCase{"pksp_gmres", "pksp", false},
+                      CacheCase{"pksp_cg", "pksp", true},
+                      CacheCase{"aztec", "aztec", false},
+                      CacheCase{"slu", "slu", false},
+                      CacheCase{"hymg", "hymg", false}),
+    [](const ::testing::TestParamInfo<CacheCase>& info) {
+      return std::string(info.param.label);
+    });
+
+/// kSessionComponents + 1 distinct operators: scaled copies of p's matrix,
+/// each under its own operator id.
+struct OperatorSet {
+  explicit OperatorSet(const Problem& problem) : p(problem) {
+    for (int k = 0; k <= kSessionComponents; ++k) {
+      auto a = std::make_shared<sparse::CsrMatrix>(*p.a);
+      for (double& v : a->values) v *= 1.0 + 0.125 * k;
+      ops.push_back(std::move(a));
+    }
+  }
+  [[nodiscard]] SolveRequest request(int k) const {
+    SolveRequest req = cgRequest(p, static_cast<std::uint64_t>(k + 1));
+    req.matrix = ops[static_cast<std::size_t>(k)];
+    return req;
+  }
+  const Problem& p;
+  std::vector<std::shared_ptr<sparse::CsrMatrix>> ops;
+};
+
+TEST(ServiceCache, EvictsLeastRecentlyUsedBeyondTheBound) {
+  const Problem p = makeProblem(6);
+  const OperatorSet set(p);
+  const auto request = [&](int k) { return set.request(k); };
+  const auto& ops = set.ops;
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  SolverService svc(cfg);
+  svc.start();
+  const SolveResult first = solveNow(svc, request(0));
+  ASSERT_TRUE(first.ok) << first.error;
+  for (int k = 1; k < kSessionComponents; ++k) {
+    ASSERT_TRUE(solveNow(svc, request(k)).ok);
+  }
+  // The cache is exactly full: operator 0 is still there.
+  ASSERT_TRUE(solveNow(svc, request(0)).ok);
+  EXPECT_EQ(svc.componentsBuilt(), kSessionComponents);
+  EXPECT_EQ(svc.componentHits(), 1);
+
+  // One more operator evicts the least recently used, operator 1, not the
+  // just-used operator 0.
+  ASSERT_TRUE(solveNow(svc, request(kSessionComponents)).ok);
+  ASSERT_TRUE(solveNow(svc, request(0)).ok);
+  EXPECT_EQ(svc.componentHits(), 2);
+  const SolveResult rebuilt = solveNow(svc, request(1));
+  ASSERT_TRUE(rebuilt.ok) << rebuilt.error;
+  EXPECT_EQ(svc.componentsBuilt(), kSessionComponents + 2);
+  EXPECT_EQ(svc.componentHits(), 2);
+  EXPECT_LT(residualInf(*ops[1], rebuilt.x, p.b), 1e-6);
+  svc.stop();
+}
+
+TEST(ServiceCache, SeventeenOperatorsThenTheFirstRebuildsIt) {
+  const Problem p = makeProblem(6);
+  const OperatorSet set(p);
+  const auto request = [&](int k) { return set.request(k); };
+  const auto& ops = set.ops;
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  SolverService svc(cfg);
+  svc.start();
+  const SolveResult first = solveNow(svc, request(0));
+  ASSERT_TRUE(first.ok) << first.error;
+  for (int k = 1; k <= kSessionComponents; ++k) {
+    ASSERT_TRUE(solveNow(svc, request(k)).ok);
+  }
+  const SolveResult again = solveNow(svc, request(0));
+  svc.stop();
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(svc.componentsBuilt(), kSessionComponents + 2);
+  EXPECT_EQ(svc.componentHits(), 0);
+  EXPECT_LT(residualInf(*ops[0], again.x, p.b), 1e-6);
+  EXPECT_EQ(again.x, first.x);  // a fresh setup of the same operator
+}
+
+TEST(ServiceCache, NewMatrixUnderAnOldOperatorIdIsAMiss) {
+  // The key is the matrix object, not only the declared id: a client that
+  // frees its matrix and submits a new one under the same id gets a fresh
+  // setup, never the old operator's component.
+  const Problem p = makeProblem(8);
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  SolverService svc(cfg);
+  svc.start();
+  ASSERT_TRUE(solveNow(svc, cgRequest(p, 5)).ok);
+  auto scaled = std::make_shared<sparse::CsrMatrix>(*p.a);
+  for (double& v : scaled->values) v *= 2.0;
+  SolveRequest req = cgRequest(p, 5);
+  req.matrix = scaled;
+  const SolveResult res = solveNow(svc, std::move(req));
+  svc.stop();
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(svc.componentsBuilt(), 2);
+  EXPECT_EQ(svc.componentHits(), 0);
+  EXPECT_LT(residualInf(*scaled, res.x, p.b), 1e-6);
+}
+
+TEST(ServiceCache, FailedBatchDropsItsComponent) {
+  // A singular operator (an all-zero row) fails slu's factorization.  The
+  // failing component is not kept: resubmitting the class builds a new one.
+  auto singular = std::make_shared<sparse::CsrMatrix>(*makeProblem(6).a);
+  const int row = 7;
+  for (int j = singular->rowPtr[row]; j < singular->rowPtr[row + 1]; ++j) {
+    singular->values[static_cast<std::size_t>(j)] = 0.0;
+  }
+  SolveRequest req;
+  req.matrix = singular;
+  req.rhs.assign(static_cast<std::size_t>(singular->rows), 1.0);
+  req.backend = "slu";
+  req.operatorId = 9;
+  ServiceConfig cfg;
+  cfg.sessions = 1;
+  cfg.ranksPerSession = 2;
+  SolverService svc(cfg);
+  svc.start();
+  const SolveResult r1 = solveNow(svc, req);
+  const SolveResult r2 = solveNow(svc, req);
+  svc.stop();
+  EXPECT_FALSE(r1.ok);
+  EXPECT_FALSE(r2.ok);
+  EXPECT_NE(r2.error.find("slu"), std::string::npos) << r2.error;
+  EXPECT_EQ(svc.componentsBuilt(), 2);
+  EXPECT_EQ(svc.componentHits(), 0);
 }
 
 TEST(Service, ConcurrentSubmittersStress) {
